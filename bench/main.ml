@@ -20,7 +20,6 @@ module Species = Vpic_particle.Species
 module Store = Vpic_particle.Store
 module Particle = Vpic_particle.Particle
 module Push = Vpic_particle.Push
-module Interp = Vpic_particle.Interp
 module Interpolator = Vpic_particle.Interpolator
 module Accumulator = Vpic_particle.Accumulator
 module Sort = Vpic_particle.Sort
@@ -281,6 +280,15 @@ let kernel_fixture () =
   ignore (Loader.maxwellian rng s ~ppc:64 ~uth:0.08 ());
   (g, f, s)
 
+(* The memory system the step loop pushes through, loaded once from a
+   fixture's (frozen) field: timed pushes then read field blocks from the
+   interpolator and deposit into the accumulator, as [Simulation.step]
+   does, with the per-step load/unload left outside the timers. *)
+let memory_system g f =
+  let ip = Interpolator.create g in
+  Interpolator.load ip f;
+  (ip, Accumulator.create g)
+
 let e5_kernels () =
   pf "\n###### E5: kernel costs and the Cell offload ######\n";
   let g, f, s = kernel_fixture () in
@@ -288,10 +296,11 @@ let e5_kernels () =
   let reps = 3 in
   let t = Table.create [ "kernel"; "measured"; "unit"; "notes" ] in
   Sort.by_voxel s;
+  let ip, ac = memory_system g f in
   let _, d_sorted =
     Perf.timed (fun () ->
         for _ = 1 to reps do
-          ignore (Push.advance s f Bc.periodic)
+          ignore (Push.advance ~interp:ip ~accum:ac s f Bc.periodic)
         done)
   in
   let ns_pp = d_sorted /. float_of_int (np * reps) *. 1e9 in
@@ -312,6 +321,7 @@ let e5_kernels () =
   let bs = Species.create ~name:"e" ~q:(-1.) ~m:1. big in
   ignore (Loader.maxwellian (Rng.of_int 2) bs ~ppc:16 ~uth:0.08 ());
   let bn = Species.count bs in
+  let bip, bac = memory_system big bf in
   (* randomise order, then measure; then sort and measure again *)
   let shuffle () =
     let rng = Rng.of_int 11 in
@@ -322,11 +332,13 @@ let e5_kernels () =
   in
   shuffle ();
   let _, d_big_unsorted =
-    Perf.timed (fun () -> ignore (Push.advance bs bf Bc.periodic))
+    Perf.timed (fun () ->
+        ignore (Push.advance ~interp:bip ~accum:bac bs bf Bc.periodic))
   in
   Sort.by_voxel bs;
   let _, d_big_sorted =
-    Perf.timed (fun () -> ignore (Push.advance bs bf Bc.periodic))
+    Perf.timed (fun () ->
+        ignore (Push.advance ~interp:bip ~accum:bac bs bf Bc.periodic))
   in
   Table.add_row t
     [ "push, 64k-voxel grid, sorted";
@@ -342,11 +354,8 @@ let e5_kernels () =
         let open Bigarray.Array1 in
         for _ = 1 to reps do
           for n = 0 to np - 1 do
-            let i, j, k =
-              Grid.cell_of_voxel g
-                (Int32.to_int (unsafe_get st.Store.voxel n))
-            in
-            Vpic_particle.Interp.gather_into f ~i ~j ~k
+            Interpolator.gather_into ip
+              ~voxel:(Int32.to_int (unsafe_get st.Store.voxel n))
               ~fx:(unsafe_get st.Store.fx n)
               ~fy:(unsafe_get st.Store.fy n)
               ~fz:(unsafe_get st.Store.fz n)
@@ -357,7 +366,7 @@ let e5_kernels () =
   Table.add_row t
     [ "field gather";
       Printf.sprintf "%.0f" (d_gather /. float_of_int (np * reps) *. 1e9);
-      "ns/particle"; "staggered trilinear, 6 components" ];
+      "ns/particle"; "interpolator expansion, 6 components" ];
   let rng = Rng.of_int 3 in
   let resort () =
     Species.iter s (fun n ->
@@ -405,7 +414,7 @@ let e5_kernels () =
   Table.print ~title:"E5 measured kernel costs (this host)" t;
   (* the simulated SPE pipeline: DMA ledger and modelled Cell rates *)
   let pipe = Spe_pipeline.create Roadrunner.full in
-  ignore (Spe_pipeline.advance_species pipe s f Bc.periodic);
+  ignore (Spe_pipeline.advance_species ~interp:ip ~accum:ac pipe s f Bc.periodic);
   let led = Spe_pipeline.ledger pipe in
   let t = Table.create [ "quantity"; "value"; "unit" ] in
   Table.add_row t
@@ -591,17 +600,21 @@ let v2_plasma_oscillation () =
   in
   pf "measured omega = %.4f omega_pe | theory 1.0000\n" omega
 
-(* ------------------------------------------- push layout: f32 vs f64 *)
+(* ------------------------------------------------ push: layout + kernels *)
 
-(* The PR's headline claim, measured: the 32-byte Float32 store pushes
-   at least as fast as the 80-byte float64 layout it replaced.  Both
-   layouts run the identical micro-kernel — trilinear gather, Boris
-   kick, periodic streaming (no deposition) — with f64 arithmetic in
-   registers; only the particle loads/stores differ.  Sorted order lets
-   the f32 path amortise its voxel decode over the run of particles
-   sharing a cell, exactly as the SPE pipeline does. *)
+(* Two measurements of the particle push.
+
+   1. The 32-byte Float32 store's streaming rate: a straight-line
+      micro-kernel — trilinear gather, Boris kick, periodic streaming
+      (no deposition) — with f64 arithmetic in registers, so only the
+      particle loads/stores and the gather's field reads cost memory.
+      Sorted order lets it amortise the voxel decode over the run of
+      particles sharing a cell, exactly as the SPE pipeline does.
+   2. The production [Push.advance] kernels (scalar, block, SPE stream)
+      against one interpolator/accumulator, and their bitwise energy
+      parity on a short srs deck. *)
 let push_layout_bench ?(quick = false) () =
-  pf "\n###### push layout: f32 store (32 B) vs f64 arrays (80 B) ######\n";
+  pf "\n###### push layout: f32 store (32 B) micro-kernel ######\n";
   (* The paper's regime is memory-resident: 1e12 particles over 1.36e8
      voxels (~7350 per voxel), so particle data streams from DRAM while
      the fields stay cache-hot.  Mirror that balance: a deep-ppc
@@ -622,39 +635,13 @@ let push_layout_bench ?(quick = false) () =
   Sort.by_voxel s;
   let np = Species.count s in
   let st = s.Species.store in
-  (* mirror into the legacy layout: int cell triple + 7 x float64 *)
-  let ci = Array.make np 0 and cj = Array.make np 0 and ck = Array.make np 0 in
-  let lfx = Array.make np 0. and lfy = Array.make np 0. and lfz = Array.make np 0. in
-  let lux = Array.make np 0. and luy = Array.make np 0. and luz = Array.make np 0. in
-  let lw = Array.make np 0. in
   let open Bigarray.Array1 in
-  for m = 0 to np - 1 do
-    let i, j, k =
-      Grid.cell_of_voxel g (Int32.to_int (unsafe_get st.Store.voxel m))
-    in
-    ci.(m) <- i; cj.(m) <- j; ck.(m) <- k;
-    lfx.(m) <- unsafe_get st.Store.fx m;
-    lfy.(m) <- unsafe_get st.Store.fy m;
-    lfz.(m) <- unsafe_get st.Store.fz m;
-    lux.(m) <- unsafe_get st.Store.ux m;
-    luy.(m) <- unsafe_get st.Store.uy m;
-    luz.(m) <- unsafe_get st.Store.uz m;
-    lw.(m) <- unsafe_get st.Store.w m
-  done;
   let qdt_2m = -0.5 *. g.Grid.dt in
   let move = 0.05 in
-  (* Before/after mirrors of the two pushes this repo has shipped.
-     The f32 pass is the inner loop of this PR's Push.advance fast path:
-     the stored linear voxel indexes the field arrays directly and the
-     staggered trilinear gather (Interp.gather_into's arithmetic) plus
-     the Boris rotation run as one straight-line block per particle --
-     zero calls and zero allocation, the shape of VPIC's unrolled SPE
-     push.  The f64 pass is the seed kernel the 80-byte layout shipped
-     with: per-particle cross-module Interp.gather_into / Push.boris
-     calls with out-array parameters (every float argument is boxed at
-     those call sites on this toolchain) over a three-int cell triple
-     plus seven float64 arrays.  Both passes perform the identical f64
-     gather/Boris/streaming arithmetic on the same particles. *)
+  (* The stored linear voxel indexes the field arrays directly and the
+     staggered trilinear gather plus the Boris rotation run as one
+     straight-line block per particle -- zero calls and zero
+     allocation, the shape of VPIC's unrolled SPE push. *)
   let dex = Sf.data f.Em_field.ex and dey = Sf.data f.Em_field.ey in
   let dez = Sf.data f.Em_field.ez and dbx = Sf.data f.Em_field.bx in
   let dby = Sf.data f.Em_field.by and dbz = Sf.data f.Em_field.bz in
@@ -687,7 +674,7 @@ let push_layout_bench ?(quick = false) () =
       let ux = unsafe_get sux m
       and uy = unsafe_get suy m
       and uz = unsafe_get suz m in
-      (* gather (staggered trilinear, as Interp.gather_into) *)
+      (* gather (staggered trilinear) *)
       let dxs = if fx >= 0.5 then 0 else -1 in
       let txs = if fx >= 0.5 then fx -. 0.5 else fx +. 0.5 in
       let dys = if fy >= 0.5 then 0 else -1 in
@@ -788,106 +775,27 @@ let push_layout_bench ?(quick = false) () =
     in
     go 0 (-1) 0 0 0
   in
-  let f64_pass () =
-    (* scratch out-arrays, allocated once per pass as the seed's advance
-       did once per call *)
-    let fields = Array.make 6 0. in
-    let u = Array.make 3 0. in
-    for m = 0 to np - 1 do
-      let i = Array.unsafe_get ci m
-      and j = Array.unsafe_get cj m
-      and k = Array.unsafe_get ck m in
-      let fx = Array.unsafe_get lfx m
-      and fy = Array.unsafe_get lfy m
-      and fz = Array.unsafe_get lfz m in
-      Interp.gather_into f ~i ~j ~k ~fx ~fy ~fz ~out:fields;
-      u.(0) <- Array.unsafe_get lux m;
-      u.(1) <- Array.unsafe_get luy m;
-      u.(2) <- Array.unsafe_get luz m;
-      Push.boris ~u ~ex:fields.(0) ~ey:fields.(1) ~ez:fields.(2)
-        ~bx:fields.(3) ~by:fields.(4) ~bz:fields.(5) ~qdt_2m;
-      let ux2 = u.(0) and uy2 = u.(1) and uz2 = u.(2) in
-      (* periodic streaming *)
-      let fx1 = fx +. (move *. ux2) in
-      let fy1 = fy +. (move *. uy2) in
-      let fz1 = fz +. (move *. uz2) in
-      let fxw = if fx1 >= 1. then fx1 -. 1. else if fx1 < 0. then fx1 +. 1. else fx1 in
-      let fyw = if fy1 >= 1. then fy1 -. 1. else if fy1 < 0. then fy1 +. 1. else fy1 in
-      let fzw = if fz1 >= 1. then fz1 -. 1. else if fz1 < 0. then fz1 +. 1. else fz1 in
-      let i1 =
-        if fx1 >= 1. then (if i = nx then 1 else i + 1)
-        else if fx1 < 0. then (if i = 1 then nx else i - 1)
-        else i
-      in
-      let j1 =
-        if fy1 >= 1. then (if j = ny then 1 else j + 1)
-        else if fy1 < 0. then (if j = 1 then ny else j - 1)
-        else j
-      in
-      let k1 =
-        if fz1 >= 1. then (if k = nz then 1 else k + 1)
-        else if fz1 < 0. then (if k = 1 then nz else k - 1)
-        else k
-      in
-      Array.unsafe_set lfx m fxw;
-      Array.unsafe_set lfy m fyw;
-      Array.unsafe_set lfz m fzw;
-      Array.unsafe_set lux m ux2;
-      Array.unsafe_set luy m uy2;
-      Array.unsafe_set luz m uz2;
-      Array.unsafe_set ci m i1;
-      Array.unsafe_set cj m j1;
-      Array.unsafe_set ck m k1
-    done
-  in
-  (* warm both paths once, then time interleaved reps so slow clock /
-     thermal drift cancels instead of biasing whichever pass runs last *)
   f32_pass ();
-  f64_pass ();
   let reps = 6 in
-  let d32 = ref 0. and d64 = ref 0. in
-  for r = 1 to reps do
-    (* alternate order so slow drift biases neither layout *)
-    if r land 1 = 1 then begin
-      let _, d = Perf.timed f32_pass in
-      d32 := !d32 +. d;
-      let _, d = Perf.timed f64_pass in
-      d64 := !d64 +. d
-    end
-    else begin
-      let _, d = Perf.timed f64_pass in
-      d64 := !d64 +. d;
-      let _, d = Perf.timed f32_pass in
-      d32 := !d32 +. d
-    end
-  done;
-  let d32 = !d32 and d64 = !d64 in
-  let rate d = float_of_int (np * reps) /. d in
-  let r32 = rate d32 and r64 = rate d64 in
+  let _, d32 =
+    Perf.timed (fun () ->
+        for _ = 1 to reps do
+          f32_pass ()
+        done)
+  in
+  let r32 = float_of_int (np * reps) /. d32 in
   let bytes32 = Store.bytes_per_particle in
-  let bytes64 = (3 * 8) + (7 * 8) in
   let t = Table.create [ "layout"; "bytes/particle"; "Mparticles/s"; "ns/particle" ] in
   Table.add_row t
-    [ "f32 store (this PR)"; string_of_int bytes32;
+    [ "f32 store"; string_of_int bytes32;
       Printf.sprintf "%.2f" (r32 /. 1e6);
       Printf.sprintf "%.0f" (1e9 /. r32) ];
-  Table.add_row t
-    [ "f64 arrays (old)"; string_of_int bytes64;
-      Printf.sprintf "%.2f" (r64 /. 1e6);
-      Printf.sprintf "%.0f" (1e9 /. r64) ];
   Table.print
     ~title:(Printf.sprintf "push micro-kernel, %d sorted particles" np)
     t;
-  pf "f32/f64 speedup: %.3fx\n" (r32 /. r64);
-  (* -------- A/B: the production Push.advance, direct strided
-     gather/scatter vs the interpolator/accumulator memory system.
-     Unlike the micro-kernel above, this times the whole advance
-     (gather, Boris, walk, current deposition) through the public API;
-     the interpolator pass pays its honest per-step overhead — the
-     coefficient load before the push and the accumulator unload after
-     it.  Each timed pass starts from a freshly sorted population so
-     both paths see the same locality the step loop maintains. *)
-  pf "\n###### push A/B: direct gather/scatter vs interpolator/accumulator ######\n";
+  (* The production kernels' population: a larger grid with a realistic
+     ppc, re-sorted before every timed pass so each pass sees the
+     locality the step loop maintains. *)
   let n2 = if quick then 16 else 64 in
   let ppc2 = if quick then 8 else 40 in
   let l2 = float_of_int n2 *. (l /. float_of_int n) in
@@ -907,65 +815,17 @@ let push_layout_bench ?(quick = false) () =
   ignore (Loader.maxwellian rng2 s2 ~ppc:ppc2 ~uth:0.08 ());
   Sort.by_voxel s2;
   let np2 = Species.count s2 in
-  let ip = Interpolator.create g2 in
-  let ac = Accumulator.create g2 in
-  let direct_pass () =
-    Em_field.clear_currents f2;
-    ignore (Push.advance s2 f2 Bc.periodic)
-  in
-  let interp_pass () =
-    Em_field.clear_currents f2;
-    Interpolator.load ip f2;
-    ignore (Push.advance ~interp:ip ~accum:ac s2 f2 Bc.periodic);
-    Accumulator.unload ac f2
-  in
-  direct_pass ();
-  interp_pass ();
+  let ip, ac = memory_system g2 f2 in
   let reps2 = if quick then 3 else 5 in
-  let d_dir = ref 0. and d_int = ref 0. in
-  let time_into acc pass =
-    Sort.by_voxel s2;
-    let _, d = Perf.timed pass in
-    acc := !acc +. d
-  in
-  for r = 1 to reps2 do
-    (* alternate order so slow drift biases neither path *)
-    if r land 1 = 1 then begin
-      time_into d_dir direct_pass;
-      time_into d_int interp_pass
-    end
-    else begin
-      time_into d_int interp_pass;
-      time_into d_dir direct_pass
-    end
-  done;
-  let r_dir = float_of_int (np2 * reps2) /. !d_dir in
-  let r_int = float_of_int (np2 * reps2) /. !d_int in
-  let t = Table.create [ "path"; "Mparticles/s"; "ns/particle" ] in
-  Table.add_row t
-    [ "direct gather/scatter";
-      Printf.sprintf "%.2f" (r_dir /. 1e6);
-      Printf.sprintf "%.0f" (1e9 /. r_dir) ];
-  Table.add_row t
-    [ "interpolator/accumulator";
-      Printf.sprintf "%.2f" (r_int /. 1e6);
-      Printf.sprintf "%.0f" (1e9 /. r_int) ];
-  Table.print
-    ~title:
-      (Printf.sprintf "Push.advance A/B, %d sorted particles (incl. load/unload)"
-         np2)
-    t;
-  pf "interp/direct speedup: %.3fx\n" (r_int /. r_dir);
-  (* -------- A/B: scalar vs block-vectorized Push.advance on the
-     interpolator/accumulator fast path.  The coefficient load happens
-     once, outside the timers, and the current clear is hoisted into
-     the (untimed) per-rep setup, so the ratio isolates the kernel
-     restructuring: 8-wide particle blocks against one run-cached
-     72-byte interpolator block, fused gather/rotate/advance/deposit
-     passes, cell-crossers falling out to the scalar cleanup pass. *)
+  (* -------- A/B: scalar vs block-vectorized Push.advance.  The
+     coefficient load happens once, outside the timers, and the current
+     clear is hoisted into the (untimed) per-rep setup, so the ratio
+     isolates the kernel restructuring: 8-wide particle blocks against
+     one run-cached 72-byte interpolator block, fused
+     gather/rotate/advance/deposit passes, cell-crossers falling out to
+     the scalar cleanup pass. *)
   pf "\n###### push A/B: scalar vs block-vectorized kernel ######\n";
   let width = Push.default_block_width in
-  Interpolator.load ip f2;
   let scalar_kernel_pass () =
     ignore (Push.advance ~interp:ip ~accum:ac s2 f2 Bc.periodic)
   in
@@ -1021,7 +881,7 @@ let push_layout_bench ?(quick = false) () =
     Table.add_row t
       [ name; Printf.sprintf "%.2f" (r /. 1e6); Printf.sprintf "%.0f" (1e9 /. r) ]
   in
-  krow "scalar (interp/accum)" r_sc;
+  krow "scalar" r_sc;
   krow (Printf.sprintf "block%d" width) r_bl;
   krow (Printf.sprintf "spe stream (block%d)" width) r_spe;
   Table.print
@@ -1059,20 +919,6 @@ let push_layout_bench ?(quick = false) () =
           json_obj
             [ ("bytes_per_particle", string_of_int bytes32);
               ("particles_per_sec", json_num r32) ] );
-        ( "f64_legacy",
-          json_obj
-            [ ("bytes_per_particle", string_of_int bytes64);
-              ("particles_per_sec", json_num r64) ] );
-        ("speedup", Printf.sprintf "%.4f" (r32 /. r64));
-        ( "interp_accum",
-          json_obj
-            [ ("particles", string_of_int np2);
-              ("reps", string_of_int reps2);
-              ("direct_s", json_num (!d_dir /. float_of_int reps2));
-              ("interp_s", json_num (!d_int /. float_of_int reps2));
-              ("direct_particles_per_sec", json_num r_dir);
-              ("interp_particles_per_sec", json_num r_int);
-              ("speedup", Printf.sprintf "%.4f" (r_int /. r_dir)) ] );
         ( "block_push",
           json_obj
             [ ("particles", string_of_int np2);
@@ -1102,12 +948,12 @@ let push_layout_bench ?(quick = false) () =
 
    1. One step's worth of ghost traffic (three 6-component EM fills plus
       one 3-component current fold, the sequence Simulation.step issues)
-      through the persistent ports vs the legacy mailbox path it
-      replaced, interleaved in the same process.
+      through the persistent ports: absolute latency per step and the
+      ghost bandwidth it sustains (payload bytes per second per rank).
    2. A real stepped run with particles, reporting the per-step ghost
       exchange and migration wall time and the payload bytes moved.  *)
 let exchange_bench () =
-  pf "\n###### exchange: persistent ports vs legacy mailbox (2 ranks) ######\n";
+  pf "\n###### exchange: persistent-port ghost traffic (2 ranks) ######\n";
   let module Exchange = Vpic_parallel.Exchange in
   let ranks = 2 in
   let reps = 150 in
@@ -1126,7 +972,7 @@ let exchange_bench () =
         Trace.enable ~rank ();
         let grid = Decomp.local_grid d ~dt ~rank in
         let bc = Decomp.local_bc d ~global:Bc.periodic ~rank in
-        (* --- microbench: one step's ghost traffic, both paths --- *)
+        (* --- microbench: one step's ghost traffic through the ports --- *)
         let ports = Exchange.create c bc grid in
         let f = Em_field.create grid in
         let rng = Rng.of_int (17 + rank) in
@@ -1140,41 +986,18 @@ let exchange_bench () =
           Exchange.fill_ghosts ports ems;
           Exchange.fold_ghosts ports js
         in
-        let legacy_step () =
-          Exchange.Legacy.fill_ghosts c bc ems;
-          Exchange.Legacy.fill_ghosts c bc ems;
-          Exchange.Legacy.fill_ghosts c bc ems;
-          Exchange.Legacy.fold_ghosts c bc js
-        in
-        (* warm both paths, then time alternating blocks so clock and
-           scheduler drift cancels instead of biasing the later path *)
         ports_step ();
-        legacy_step ();
         let b0 = Exchange.bytes_moved ports in
-        let block = 25 in
-        let rounds = reps / block in
-        let d_ports = ref 0. and d_legacy = ref 0. in
-        let timed_block f acc =
-          Comm.barrier c;
-          let (), d = Perf.timed (fun () -> for _ = 1 to block do f () done) in
-          acc := !acc +. d
+        Comm.barrier c;
+        let (), d_ports =
+          Perf.timed (fun () ->
+              for _ = 1 to reps do
+                ports_step ()
+              done)
         in
-        for r = 1 to rounds do
-          if r land 1 = 1 then begin
-            timed_block ports_step d_ports;
-            timed_block legacy_step d_legacy
-          end
-          else begin
-            timed_block legacy_step d_legacy;
-            timed_block ports_step d_ports
-          end
-        done;
-        let nsteps = float_of_int (rounds * block) in
-        let t_ports = Comm.allreduce_max c (!d_ports /. nsteps) in
-        let t_legacy = Comm.allreduce_max c (!d_legacy /. nsteps) in
-        let ghost_bytes_per_step =
-          (Exchange.bytes_moved ports -. b0) /. (nsteps +. 1.)
-        in
+        let nsteps = float_of_int reps in
+        let t_ports = Comm.allreduce_max c (d_ports /. nsteps) in
+        let ghost_bytes_per_step = (Exchange.bytes_moved ports -. b0) /. nsteps in
         (* --- real stepped run: per-step exchange/migrate time + bytes --- *)
         let coupler = Coupler.parallel c bc ~grid in
         let sim = Simulation.make ~grid ~coupler () in
@@ -1193,21 +1016,22 @@ let exchange_bench () =
               "exchange.fold" ]
         in
         let mig = per [ "migrate" ] in
-        ( t_ports, t_legacy, ghost_bytes_per_step,
+        ( t_ports, ghost_bytes_per_step,
           Comm.allreduce_max c exch,
           Comm.allreduce_max c mig,
           Comm.allreduce_sum c (coupler.Coupler.comm_bytes () /. float_of_int steps) ))
   in
   Trace.reset ();
-  let t_ports, t_legacy, ghost_bytes, t_exch, t_mig, run_bytes = results.(0) in
-  let t = Table.create [ "path"; "us/step (ghost traffic)"; "KiB/step/rank" ] in
+  let t_ports, ghost_bytes, t_exch, t_mig, run_bytes = results.(0) in
+  let bandwidth = ghost_bytes /. t_ports in
+  let t =
+    Table.create [ "path"; "us/step"; "KiB/step/rank"; "MB/s/rank" ]
+  in
   Table.add_row t
     [ "persistent ports"; Printf.sprintf "%.1f" (t_ports *. 1e6);
-      Printf.sprintf "%.1f" (ghost_bytes /. 1024.) ];
-  Table.add_row t
-    [ "legacy mailbox"; Printf.sprintf "%.1f" (t_legacy *. 1e6); "(same payload)" ];
+      Printf.sprintf "%.1f" (ghost_bytes /. 1024.);
+      Printf.sprintf "%.1f" (bandwidth /. 1e6) ];
   Table.print ~title:"ghost exchange: 3 EM fills + 1 current fold per step" t;
-  pf "port/mailbox speedup: %.3fx\n" (t_legacy /. t_ports);
   let t = Table.create [ "phase"; "us/step"; "note" ] in
   Table.add_row t
     [ "ghost exchange"; Printf.sprintf "%.1f" (t_exch *. 1e6);
@@ -1223,10 +1047,9 @@ let exchange_bench () =
     ~results:
       [ ( "ghost_traffic",
           json_obj
-            [ ("ports_s_per_step", json_num t_ports);
-              ("legacy_s_per_step", json_num t_legacy);
+            [ ("port_us_per_step", json_num (t_ports *. 1e6));
               ("bytes_per_step_per_rank", Printf.sprintf "%.0f" ghost_bytes);
-              ("speedup", Printf.sprintf "%.4f" (t_legacy /. t_ports)) ] );
+              ("bandwidth_bytes_per_s", json_num bandwidth) ] );
         ( "stepped_run",
           json_obj
             [ ("steps", string_of_int steps);
@@ -1419,16 +1242,19 @@ let bechamel_kernels () =
   let open Bechamel in
   let g, f, s = kernel_fixture () in
   Sort.by_voxel s;
+  let ip, ac = memory_system g f in
   let out = Array.make 6 0. in
   let u = [| 0.1; 0.2; 0.3 |] in
+  let voxel = Grid.voxel g 8 8 8 in
   let tests =
     [ Test.make ~name:"E5/push-100-particles"
         (Staged.stage (fun () ->
-             ignore (Push.advance ~first:0 ~count:100 s f Bc.periodic)));
+             ignore
+               (Push.advance ~first:0 ~count:100 ~interp:ip ~accum:ac s f
+                  Bc.periodic)));
       Test.make ~name:"E5/gather"
         (Staged.stage (fun () ->
-             Vpic_particle.Interp.gather_into f ~i:8 ~j:8 ~k:8 ~fx:0.3 ~fy:0.6
-               ~fz:0.9 ~out));
+             Interpolator.gather_into ip ~voxel ~fx:0.3 ~fy:0.6 ~fz:0.9 ~out));
       Test.make ~name:"E5/boris"
         (Staged.stage (fun () ->
              Push.boris ~u ~ex:0.1 ~ey:0.2 ~ez:0.3 ~bx:0.1 ~by:0.2 ~bz:0.3

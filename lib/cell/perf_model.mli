@@ -34,6 +34,11 @@ type calibration = {
   overhead_fraction : float;  (** calibrated residual, see above *)
 }
 
+(** 126: flops of the paper's per-particle staggered trilinear gather
+    (6 components x 8 loads and 7 fma-ish ops, plus weight setup) — the
+    gather term of {!default_calibration}'s [flops_pp]. *)
+val paper_gather_flops : float
+
 val default_calibration : calibration
 
 (** Which push kernel a predicted-vs-measured comparison assumes.

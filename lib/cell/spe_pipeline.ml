@@ -1,6 +1,5 @@
 module Species = Vpic_particle.Species
 module Push = Vpic_particle.Push
-module Interp = Vpic_particle.Interp
 module Bc = Vpic_grid.Bc
 module Perf = Vpic_util.Perf
 
@@ -40,7 +39,7 @@ let particle_bytes = 32.
    [Interpolator.bytes_per_voxel]), which VPIC rounds to 80 with padding
    for SPE DMA alignment; scatter pushes the 12-slot accumulator block
    of [Vpic_particle.Accumulator], f32 on the wire in VPIC (48 B; our
-   host-side accumulator keeps the slots in f64 to match direct-deposit
+   host-side accumulator keeps the slots in f64, the J meshes'
    precision). *)
 let interpolator_bytes = 80.
 let accumulator_bytes = 48.
@@ -70,8 +69,9 @@ let no_absorbing bc =
       match k with Bc.Absorbing | Bc.Refluxing _ -> false | _ -> true)
     [ bc.Bc.xlo; bc.Bc.xhi; bc.Bc.ylo; bc.Bc.yhi; bc.Bc.zlo; bc.Bc.zhi ]
 
-let advance_species ?(perf = Perf.global) ?ppc_hint ?interp ?accum ?rng
-    ?(pusher = Push.Boris) ?(kernel = Push.Scalar) ?region t s f bc =
+let advance_species ?(perf = Perf.global) ?ppc_hint ?rng
+    ?(pusher = Push.Boris) ?(kernel = Push.Scalar) ?region ~interp ~accum t s
+    f bc =
   (* Absorbing walls would delete particles mid-stream, breaking the
      fixed-count DMA block accounting — except over an `Interior region,
      whose particles cannot reach a wall by construction. *)
@@ -86,10 +86,8 @@ let advance_species ?(perf = Perf.global) ?ppc_hint ?interp ?accum ?rng
   in
   let np = Species.count s in
   let flops_pp =
-    (match interp with
-    | Some _ -> Vpic_particle.Interpolator.flops_per_gather
-    | None -> Interp.flops_per_gather)
-    +. Push.flops_per_push +. Push.flops_per_segment
+    Vpic_particle.Interpolator.flops_per_gather +. Push.flops_per_push
+    +. Push.flops_per_segment
   in
   let spe_flops =
     t.machine.Roadrunner.spe_clock_hz
@@ -103,10 +101,10 @@ let advance_species ?(perf = Perf.global) ?ppc_hint ?interp ?accum ?rng
     let st =
       match region with
       | Some (`Interior d) ->
-          Push.advance ~perf ~first:!first ~count ?interp ?accum ?rng ~pusher
+          Push.advance ~perf ~first:!first ~count ~interp ~accum ?rng ~pusher
             ~kernel ~region:(`Interior d) s f bc
       | None ->
-          Push.advance ~perf ~first:!first ~count ?interp ?accum ?rng ~pusher
+          Push.advance ~perf ~first:!first ~count ~interp ~accum ?rng ~pusher
             ~kernel s f bc
     in
     assert (st.Push.absorbed = 0);

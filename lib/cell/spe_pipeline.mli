@@ -52,8 +52,8 @@ val ledger : t -> ledger
     (defaults to the species' actual average over occupied voxels).
 
     [interp]/[accum]/[rng]/[pusher]/[kernel] pass straight through to
-    [Push.advance], so the production interpolator fast path (and the
-    block kernel) can stream through the pipeline.  [region:(`Interior
+    [Push.advance], so the production kernels stream through the
+    pipeline.  [region:(`Interior
     d)] restricts each block to non-shell particles, deferring shell
     indices into [d] exactly like [Push.advance ~region] — and lifts
     the no-absorbing-walls restriction, since interior particles cannot
@@ -61,12 +61,12 @@ val ledger : t -> ledger
 val advance_species :
   ?perf:Vpic_util.Perf.counters ->
   ?ppc_hint:float ->
-  ?interp:Vpic_particle.Interpolator.t ->
-  ?accum:Vpic_particle.Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
   ?pusher:Vpic_particle.Push.kind ->
   ?kernel:Vpic_particle.Push.kernel ->
   ?region:[ `Interior of Vpic_particle.Push.Defer.t ] ->
+  interp:Vpic_particle.Interpolator.t ->
+  accum:Vpic_particle.Accumulator.t ->
   t ->
   Vpic_particle.Species.t ->
   Vpic_field.Em_field.t ->

@@ -7,7 +7,7 @@ module Crc32 = Vpic_util.Crc32
 module Rng = Vpic_util.Rng
 module Fault = Vpic_util.Fault
 
-let format_version = 7
+let format_version = 8
 
 exception Corrupt of { path : string; reason : string }
 exception Version_mismatch of { path : string; found : int; expected : int }
@@ -40,7 +40,6 @@ type meta_snap = {
   absorber_thickness : int;
   absorber_strength : float;
   pusher : Vpic_particle.Push.kind;
-  interp_accum : bool;
   push_rng : Rng.state;
   migrate_rng : Rng.state option;
   (* v6: over-decomposition identity.  Classic per-rank checkpoints
@@ -186,7 +185,6 @@ let snap_meta ~block_id ~nblocks (t : Simulation.t) =
     absorber_thickness = t.Simulation.absorber_thickness;
     absorber_strength = t.Simulation.absorber_strength;
     pusher = t.Simulation.pusher;
-    interp_accum = t.Simulation.interp_accum <> None;
     push_rng = Rng.state t.Simulation.push_rng;
     migrate_rng =
       Option.map Rng.state t.Simulation.coupler.Coupler.migrate_rng;
@@ -335,7 +333,7 @@ let build ?perf ~coupler ~path (meta, fields, species) =
       ~absorber_thickness:meta.absorber_thickness
       ~absorber_strength:meta.absorber_strength
       ~current_filter_passes:meta.current_filter_passes ~pusher:meta.pusher
-      ~interp_accum:meta.interp_accum ?perf ~grid ~coupler ()
+      ?perf ~grid ~coupler ()
   in
   t.Simulation.nstep <- meta.nstep;
   (* meta.workers is a provenance note only — the restoring driver owns

@@ -29,6 +29,16 @@ type t = {
   nranks : int;
 }
 
+(* [migrate] keeps an optional [?accum] label for callers written against
+   it, but every finished move deposits into an accumulator: a missing
+   one is a caller error, reported before any mover is touched. *)
+let need_accum = function
+  | Some accum -> accum
+  | None ->
+      invalid_arg
+        "Coupler.migrate: no accumulator (pass ?accum, the one the step's \
+         pushes deposited into)"
+
 let local bc =
   { bc;
     fill_em = (fun f -> Boundary.fill_em bc f);
@@ -42,7 +52,8 @@ let local bc =
     fold_currents = (fun f -> Boundary.fold_currents bc f);
     fold_rho = (fun f -> Boundary.fold_rho bc f);
     migrate =
-      (fun ?accum:_ _ _ movers ->
+      (fun ?accum _ _ movers ->
+        ignore (need_accum accum);
         assert (Vpic_particle.Push.Movers.count movers = 0));
     reduce_sum = (fun x -> x);
     reduce_max = (fun x -> x);
@@ -86,7 +97,8 @@ let parallel comm bc ~grid =
     fold_rho = (fun f -> Exchange.fold_ghosts ports [ f.Em_field.rho ]);
     migrate =
       (fun ?accum s f movers ->
-        ignore (Migrate.exchange ~rng:migrate_rng ?accum ports s f movers));
+        let accum = need_accum accum in
+        ignore (Migrate.exchange ~rng:migrate_rng ~accum ports s f movers));
     reduce_sum = (fun x -> Comm.allreduce_sum comm x);
     reduce_max = (fun x -> Comm.allreduce_max comm x);
     barrier = (fun () -> Comm.barrier comm);

@@ -30,8 +30,10 @@ type t = {
     Vpic_particle.Push.Movers.t ->
     unit;
       (** ship movers (packed payload), finish their moves (depositing
-          remaining current — into [accum] when given, the J meshes
-          otherwise); collective; asserts no movers when serial *)
+          the remaining current into [accum]); collective; asserts no
+          movers when serial.  [accum] is required: the label is
+          optional only so existing callers compile, and omitting it
+          raises [Invalid_argument]. *)
   reduce_sum : float -> float;
   reduce_max : float -> float;
   barrier : unit -> unit;

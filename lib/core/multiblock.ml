@@ -452,7 +452,7 @@ let step_blocks t =
               bc = b.sim.Simulation.coupler.Coupler.bc;
               species = s;
               fields = b.sim.Simulation.fields;
-              accum = Option.map snd b.sim.Simulation.interp_accum;
+              accum = Simulation.accumulator b.sim;
               rng = b.sim.Simulation.coupler.Coupler.migrate_rng;
               movers = sc.Simulation.movers })
       pushes;

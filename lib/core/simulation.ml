@@ -96,7 +96,9 @@ type t = {
          [Spe_stream]; its ledger persists across steps *)
   interp_accum : (Interpolator.t * Accumulator.t) option;
       (* VPIC inner-loop memory system: per-voxel field-coefficient and
-         current-accumulator blocks (None = direct strided gather/scatter) *)
+         current-accumulator blocks.  Always [Some]: the option survives
+         only so code reading this field compiles unchanged; [memory]
+         below is the one place it is unwrapped. *)
   smoothed : Em_field.t option;  (* gather copy when filtering *)
   push_rng : Vpic_util.Rng.t;  (* refluxing-wall re-emission stream *)
   mutable nstep : int;
@@ -124,9 +126,10 @@ let spe_pipeline_for = function
 let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     ?(absorber_thickness = 8) ?(absorber_strength = 0.15)
     ?(current_filter_passes = 0) ?(pusher = Push.Boris)
-    ?(push_backend = Host_scalar) ?(interp_accum = true) ?perf
-    ?(pool = Vpic_util.Pool.serial) ~grid ~coupler () =
+    ?(push_backend = Host_scalar) ?perf ?(pool = Vpic_util.Pool.serial) ~grid
+    ~coupler () =
   assert (current_filter_passes = 0 || clean_div_interval > 0);
+  Push.check_kernel ~pusher (push_backend_kernel push_backend);
   let perf = match perf with Some p -> p | None -> Perf.create () in
   { grid;
     fields = Em_field.create grid;
@@ -145,10 +148,7 @@ let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     pusher;
     push_backend;
     spe = spe_pipeline_for push_backend;
-    interp_accum =
-      (if interp_accum then
-         Some (Interpolator.create grid, Accumulator.create grid)
-       else None);
+    interp_accum = Some (Interpolator.create grid, Accumulator.create grid);
     smoothed =
       (if current_filter_passes > 0 then Some (Em_field.create grid) else None);
     push_rng = Vpic_util.Rng.of_int (0x7EED1 + (31 * coupler.Coupler.rank));
@@ -159,6 +159,11 @@ let make ?(sort_interval = 25) ?(clean_div_interval = 50) ?(marder_passes = 2)
     perf;
     pool }
 
+let memory t =
+  match t.interp_accum with Some m -> m | None -> assert false
+
+let interpolator t = fst (memory t)
+let accumulator t = snd (memory t)
 let species t = List.rev t.species_rev
 let lasers t = List.rev t.lasers_rev
 
@@ -177,6 +182,7 @@ let add_laser t l = t.lasers_rev <- l :: t.lasers_rev
 let set_pool t pool = t.pool <- pool
 
 let set_push_backend t b =
+  Push.check_kernel ~pusher:t.pusher (push_backend_kernel b);
   if b <> t.push_backend then begin
     t.push_backend <- b;
     t.spe <- spe_pipeline_for b
@@ -226,17 +232,16 @@ let scratch_for t s =
 
 let phase_clear_and_load t =
   Em_field.clear_currents t.fields;
-  let interp = Option.map fst t.interp_accum in
   (* Interior voxels' interpolator blocks read no ghosts: build them
      while the x-plane fill is still in flight, like the interior push
      they feed.  The smoothed path instead loads from the filtered copy
      in [step]. *)
-  (match (interp, t.smoothed) with
-  | Some ip, None ->
-      Trace.begin_span sid_load_interp;
-      Interpolator.load_interior ~perf:t.perf ~pool:t.pool ip t.fields;
-      Trace.end_span ()
-  | _ -> ());
+  if Option.is_none t.smoothed then begin
+    Trace.begin_span sid_load_interp;
+    Interpolator.load_interior ~perf:t.perf ~pool:t.pool (interpolator t)
+      t.fields;
+    Trace.end_span ()
+  end;
   let species_scratch = List.map (fun s -> (s, scratch_for t s)) (species t) in
   List.iter
     (fun (_, sc) ->
@@ -264,8 +269,7 @@ let block_metrics t (ph : Push.stats) =
 (* Interior pass: every particle whose cell does not touch the ghost
    layer — independent of any in-flight fill. *)
 let phase_push_interior t species_scratch =
-  let interp = Option.map fst t.interp_accum in
-  let accum = Option.map snd t.interp_accum in
+  let interp, accum = memory t in
   let kernel = push_backend_kernel t.push_backend in
   Trace.begin_span sid_push_interior;
   let phase = ref zero_stats in
@@ -278,8 +282,8 @@ let phase_push_interior t species_scratch =
       List.iter
         (fun (s, sc) ->
           let st =
-            Vpic_cell.Spe_pipeline.advance_species ~perf:t.perf ?interp
-              ?accum ~rng:t.push_rng ~pusher:t.pusher ~kernel
+            Vpic_cell.Spe_pipeline.advance_species ~perf:t.perf ~interp
+              ~accum ~rng:t.push_rng ~pusher:t.pusher ~kernel
               ~region:(`Interior sc.defer) pipe s t.fields
               t.coupler.Coupler.bc
           in
@@ -290,7 +294,7 @@ let phase_push_interior t species_scratch =
         (fun (s, sc) ->
           let st =
             Push.advance_team ~perf:t.perf ~pool:t.pool ~scratch:sc.team
-              ~defer:sc.defer ?interp ?accum ~rng:t.push_rng
+              ~defer:sc.defer ~interp ~accum ~rng:t.push_rng
               ~pusher:t.pusher ~kernel s t.fields t.coupler.Coupler.bc
           in
           phase := add_stats !phase st)
@@ -302,24 +306,20 @@ let phase_push_interior t species_scratch =
 (* The hi-face slabs read freshly filled ghosts; load them before the
    deferred shell particles evaluate their blocks. *)
 let phase_load_boundary t =
-  match Option.map fst t.interp_accum with
-  | Some ip ->
-      Trace.begin_span sid_load_interp;
-      Interpolator.load_boundary ~perf:t.perf ip t.fields;
-      Trace.end_span ()
-  | None -> ()
+  Trace.begin_span sid_load_interp;
+  Interpolator.load_boundary ~perf:t.perf (interpolator t) t.fields;
+  Trace.end_span ()
 
 (* Boundary pass: the deferred shell particles, now that their gather
    stencils see fresh ghosts.  Only these can become movers. *)
 let phase_push_boundary t species_scratch =
-  let interp = Option.map fst t.interp_accum in
-  let accum = Option.map snd t.interp_accum in
+  let interp, accum = memory t in
   Trace.begin_span sid_push_boundary;
   List.iter
     (fun (s, sc) ->
       let st =
         Push.advance ~perf:t.perf ~region:(`Deferred sc.defer)
-          ~movers:sc.movers ?interp ?accum ~rng:t.push_rng
+          ~movers:sc.movers ~interp ~accum ~rng:t.push_rng
           ~pusher:t.pusher s t.fields t.coupler.Coupler.bc
       in
       t.push_stats <- add_stats t.push_stats st)
@@ -334,15 +334,13 @@ let phase_lasers t =
 (* Fold the accumulator into the J meshes after migration (finished
    movers deposit into it) and before the ghost-current fold. *)
 let phase_unload_accum t =
-  match Option.map snd t.interp_accum with
-  | Some ac ->
-      Trace.begin_span sid_unload_accum;
-      (* fold the team push's private slabs (fixed tile order) before
-         the per-voxel blocks unload into the J meshes *)
-      Accumulator.reduce ~pool:t.pool ~perf:t.perf ac;
-      Accumulator.unload ~perf:t.perf ac t.fields;
-      Trace.end_span ()
-  | None -> ()
+  let ac = accumulator t in
+  Trace.begin_span sid_unload_accum;
+  (* fold the team push's private slabs (fixed tile order) before the
+     per-voxel blocks unload into the J meshes *)
+  Accumulator.reduce ~pool:t.pool ~perf:t.perf ac;
+  Accumulator.unload ~perf:t.perf ac t.fields;
+  Trace.end_span ()
 
 let phase_advance_b t ~frac =
   Trace.begin_span sid_field;
@@ -408,8 +406,7 @@ let step t =
   Trace.begin_span sid_fill_begin;
   c.Coupler.fill_em_begin t.fields;
   Trace.end_span ();
-  let interp = Option.map fst t.interp_accum in
-  let accum = Option.map snd t.interp_accum in
+  let interp, accum = memory t in
   let species_scratch = phase_clear_and_load t in
   (* Particle advance: inner loop of the paper. *)
   (match t.smoothed with
@@ -430,19 +427,16 @@ let step t =
         Vpic_field.Filter.binomial_pass ~fill:c.Coupler.fill_list
           (Em_field.em_components sm)
       done;
-      (match interp with
-      | Some ip ->
-          Trace.begin_span sid_load_interp;
-          Interpolator.load ~perf:t.perf ip sm;
-          Trace.end_span ()
-      | None -> ());
+      Trace.begin_span sid_load_interp;
+      Interpolator.load ~perf:t.perf interp sm;
+      Trace.end_span ();
       Trace.begin_span sid_push;
       let phase = ref zero_stats in
       List.iter
         (fun (s, sc) ->
           let st =
-            Push.advance ~perf:t.perf ~movers:sc.movers ~gather_from:sm
-              ?interp ?accum ~rng:t.push_rng ~pusher:t.pusher
+            Push.advance ~perf:t.perf ~movers:sc.movers ~interp ~accum
+              ~rng:t.push_rng ~pusher:t.pusher
               ~kernel:(push_backend_kernel t.push_backend) s t.fields
               c.Coupler.bc
           in
@@ -468,7 +462,7 @@ let step t =
   mover_metrics species_scratch;
   Trace.begin_span sid_migrate;
   List.iter
-    (fun (s, sc) -> c.Coupler.migrate ?accum s t.fields sc.movers)
+    (fun (s, sc) -> c.Coupler.migrate ~accum s t.fields sc.movers)
     species_scratch;
   Trace.end_span ();
   phase_unload_accum t;

@@ -73,8 +73,10 @@ type t = {
     (Vpic_particle.Interpolator.t * Vpic_particle.Accumulator.t) option;
       (** the VPIC inner-loop memory system: per-voxel interpolator
           coefficient blocks and current-accumulator blocks, threaded
-          through the push and migration each step ([None] = direct
-          strided gather/scatter) *)
+          through the push and migration each step — the only way
+          particles read E/B and deposit J.  Always [Some]; the option
+          is kept so code reading this field compiles unchanged.  Read
+          it through {!accumulator}. *)
   smoothed : Em_field.t option;
   push_rng : Vpic_util.Rng.t;
   mutable nstep : int;
@@ -101,12 +103,9 @@ type t = {
     smoothing of force and current keeps the coupling energy-consistent.
     Filtered J breaks discrete continuity at the grid scale, so keep the
     Marder clean enabled when using it.
-    [interp_accum] (default true) routes the push through the VPIC
-    interpolator/accumulator memory system: field coefficients load into
-    one 72-byte block per voxel before each push and scattered currents
-    fold out of per-voxel accumulator blocks after migration; disable to
-    gather/scatter directly against the strided meshes (identical
-    physics up to f32 coefficient rounding and addition order).
+    [push_backend] (default [Host_scalar]) must be runnable with
+    [pusher]: a block or SPE-stream backend with a non-Boris pusher
+    raises [Invalid_argument] here ({!Vpic_particle.Push.check_kernel}).
     [perf] shares an existing flop/byte counter set between simulations
     (the over-decomposed driver gives all its blocks one); by default
     each simulation counts alone.
@@ -121,7 +120,6 @@ val make :
   ?current_filter_passes:int ->
   ?pusher:Vpic_particle.Push.kind ->
   ?push_backend:push_backend ->
-  ?interp_accum:bool ->
   ?perf:Vpic_util.Perf.counters ->
   ?pool:Vpic_util.Pool.t ->
   grid:Grid.t ->
@@ -139,11 +137,17 @@ val pool : t -> Vpic_util.Pool.t
 (** Select the interior-push engine between steps (creates or drops the
     SPE pipeline as needed).  Used by run drivers after checkpoint
     restore and by [Deck.build_over]'s reattach hook on relocated
-    blocks, since the backend is never serialised. *)
+    blocks, since the backend is never serialised.  Raises
+    [Invalid_argument], leaving the backend unchanged, when the backend
+    cannot run with the simulation's pusher (see {!make}). *)
 val set_push_backend : t -> push_backend -> unit
 
 val push_backend : t -> push_backend
 val spe_pipeline : t -> Vpic_cell.Spe_pipeline.t option
+
+(** The current accumulator every push and migration of a step deposits
+    into (unloaded by {!phase_unload_accum}). *)
+val accumulator : t -> Vpic_particle.Accumulator.t
 
 (** Create, register and return a new species on this simulation's grid. *)
 val add_species : t -> name:string -> q:float -> m:float -> Species.t

@@ -127,10 +127,6 @@ let set_plane t ~axis ~index values =
   assert (Array.length values = plane_size t.g ~axis);
   iter_plane t.g ~axis ~index (fun slot v -> set_v t v values.(slot))
 
-let add_plane t ~axis ~index values =
-  assert (Array.length values = plane_size t.g ~axis);
-  iter_plane t.g ~axis ~index (fun slot v -> add_v t v values.(slot))
-
 let copy_plane t ~axis ~src ~dst =
   let s0, si, ni, so, no = plane_geom t.g ~axis ~index:src in
   let d0, _, _, _, _ = plane_geom t.g ~axis ~index:dst in

@@ -58,9 +58,6 @@ val extract_plane : t -> axis:Axis.t -> index:int -> float array
 (** Write [values] (length [plane_size]) into the plane. *)
 val set_plane : t -> axis:Axis.t -> index:int -> float array -> unit
 
-(** Accumulate [values] into the plane (current folding). *)
-val add_plane : t -> axis:Axis.t -> index:int -> float array -> unit
-
 (** [copy_plane f ~axis ~src ~dst] copies plane [src] onto plane [dst]. *)
 val copy_plane : t -> axis:Axis.t -> src:int -> dst:int -> unit
 

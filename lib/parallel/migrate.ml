@@ -9,7 +9,7 @@ type stats = { sent : int; received : int; settled : int; absorbed : int }
 
 let floats_per_mover = Movers.stride
 
-let exchange ?rng ?accum ports s fields (movers : Movers.t) =
+let exchange ?rng ~accum ports s fields (movers : Movers.t) =
   let bc = Exchange.bc ports in
   let g = s.Species.grid in
   let sent = ref 0 and received = ref 0 in
@@ -101,7 +101,7 @@ let exchange ?rng ?accum ports s fields (movers : Movers.t) =
                   received := !received + Movers.count ms;
                   (* Re-emitted movers land straight back in [pending]. *)
                   let st, ab, _re =
-                    Push.finish_movers ~movers_out:pending ?accum ?rng s
+                    Push.finish_movers ~movers_out:pending ~accum ?rng s
                       fields bc ms
                   in
                   settled := !settled + st;
@@ -124,7 +124,7 @@ type block_target = {
   bc : Bc.t;
   species : Species.t;
   fields : Vpic_field.Em_field.t;
-  accum : Vpic_particle.Accumulator.t option;
+  accum : Vpic_particle.Accumulator.t;
   rng : Vpic_util.Rng.t option;
   movers : Movers.t;
 }
@@ -145,7 +145,7 @@ let exchange_blocks ports ~(targets : block_target option array) ~extent =
     let ms = Movers.of_wire stg nsend in
     received := !received + nsend;
     let st, ab, _re =
-      Push.finish_movers ~movers_out:d.movers ?accum:d.accum ?rng:d.rng
+      Push.finish_movers ~movers_out:d.movers ~accum:d.accum ?rng:d.rng
         d.species d.fields d.bc ms
     in
     settled := !settled + st;
@@ -247,7 +247,7 @@ let exchange_blocks ports ~(targets : block_target option array) ~extent =
                           received := !received + n;
                           let st, ab, _re =
                             Push.finish_movers ~movers_out:t.movers
-                              ?accum:t.accum ?rng:t.rng t.species t.fields
+                              ~accum:t.accum ?rng:t.rng t.species t.fields
                               t.bc ms
                           in
                           settled := !settled + st;

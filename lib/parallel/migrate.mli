@@ -30,14 +30,13 @@ type stats = {
   absorbed : int;  (** finished into an absorbing wall *)
 }
 
-(** [rng] is needed only when some face is [Refluxing].  [accum] routes
-    the finished movers' remaining deposition into the step's current
-    accumulator instead of the J meshes (pass the one the pushes used).
-    The boundary conditions and wire resources come from the
-    [Exchange.t] ports. *)
+(** [rng] is needed only when some face is [Refluxing].  [accum]
+    receives the finished movers' remaining deposition (pass the
+    accumulator the step's pushes used).  The boundary conditions and
+    wire resources come from the [Exchange.t] ports. *)
 val exchange :
   ?rng:Vpic_util.Rng.t ->
-  ?accum:Vpic_particle.Accumulator.t ->
+  accum:Vpic_particle.Accumulator.t ->
   Exchange.t ->
   Vpic_particle.Species.t ->
   Vpic_field.Em_field.t ->
@@ -59,7 +58,7 @@ type block_target = {
   bc : Vpic_grid.Bc.t;
   species : Vpic_particle.Species.t;
   fields : Vpic_field.Em_field.t;
-  accum : Vpic_particle.Accumulator.t option;
+  accum : Vpic_particle.Accumulator.t;
   rng : Vpic_util.Rng.t option;
   movers : Vpic_particle.Push.Movers.t;  (** pending buffer, consumed *)
 }

@@ -8,16 +8,15 @@ module Perf = Vpic_util.Perf
    block, independent of the J-mesh stride, and is folded into
    Em_field.jx/jy/jz once per step by [unload].
 
-   Per-voxel slot -> J-mesh target (matching Push.deposit_segment's
-   stencil exactly):
+   Per-voxel slot -> J-mesh target (the Villasenor-Buneman stencil of
+   Push.deposit_segment_acc):
 
      jx: 0 -> v   1 -> v+gx   2 -> v+gxy   3 -> v+gx+gxy
      jy: 4 -> v   5 -> v+gxy  6 -> v+1     7 -> v+gxy+1
      jz: 8 -> v   9 -> v+1   10 -> v+gx   11 -> v+gx+1
 
-   Slots are float64 (the accumulate precision of the direct deposit):
-   unload reproduces the direct path up to addition reordering.  Every
-   walk segment originates in an interior cell (outbound particles stop
+   Slots are float64, so unload matches a direct mesh deposit of the
+   same segments up to addition reordering.  Every walk segment originates in an interior cell (outbound particles stop
    at the face; finished movers re-enter interior), so only interior
    voxels ever hold charge and unload never indexes past the mesh even
    though the targets reach one hi-ghost out. *)
@@ -47,7 +46,7 @@ let data t = t.data
 let clear t = Bigarray.Array1.fill t.data 0.
 
 (* Each slab is itself an accumulator (same grid, its own slot array),
-   so the push scatters into a slab through the unchanged [?accum]
+   so the push scatters into a slab through the unchanged [~accum]
    interface.  Slabs are views: they never have slabs of their own. *)
 let slab t ~n ~tile =
   if n < 1 then invalid_arg "Accumulator.slab: n must be >= 1";

@@ -1,15 +1,15 @@
 (** VPIC's current accumulator array: 12 float64 current components per
     voxel in one flat Bigarray — the 4 Jx + 4 Jy + 4 Jz targets of one
-    Villasenor–Buneman deposition segment, in {!Push.deposit_segment}'s
-    stencil order — so the particle walk's scatter writes one contiguous
-    block per voxel instead of three strided J meshes.  [unload] folds
+    Villasenor–Buneman deposition segment, in stencil order — so the
+    particle walk's scatter writes one contiguous block per voxel
+    instead of three strided J meshes.  [unload] folds
     every interior voxel's block into [Em_field.jx/jy/jz] once per step
     (and zeroes it for the next step); migration's remote-mover deposits
     target the same blocks.
 
-    Slots accumulate in f64, the same precision as the direct deposit:
-    after [unload] the J meshes match the direct path up to floating
-    addition reordering. *)
+    Slots accumulate in f64: after [unload] the J meshes match a direct
+    mesh deposit of the same segments up to floating addition
+    reordering. *)
 
 type t
 
@@ -39,7 +39,7 @@ val unload : ?perf:Vpic_util.Perf.counters -> t -> Vpic_field.Em_field.t -> unit
     [slab t ~n ~tile] returns tile [tile]'s private accumulator out of
     [n] (created zero-filled on first use at count [n], cached on [t]):
     an ordinary accumulator on the same grid, handed to [Push.advance
-    ?accum] so each tile of the split interior push scatters with no
+    ~accum] so each tile of the split interior push scatters with no
     write sharing.  [reduce t] then folds every slab into [t] (and
     zeroes the slabs) {e in ascending tile order at each slot}, so the
     summed currents are bitwise invariant in the worker count; call it

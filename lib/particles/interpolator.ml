@@ -26,10 +26,10 @@ module Perf = Vpic_util.Perf
    This is the published VPIC scheme (Bowers et al. 2008): each Yee
    component varies linearly along its transverse axes and is held at
    its staggered midpoint along its own axis — the first-order stagger
-   correction.  It agrees exactly with the direct staggered-trilinear
-   gather ({!Interp.gather_into}) evaluated at the staggered midpoints
+   correction.  It agrees exactly with the textbook staggered-trilinear
+   gather (the test suite's oracle) evaluated at the staggered midpoints
    (fx=1/2 for ex, etc.); off the midpoints it drops the piecewise
-   half-cell break the direct gather resolves, which is what lets the
+   half-cell break the trilinear gather resolves, which is what lets the
    whole voxel collapse to one 72-byte block.
 
    Every stencil offset is non-negative ({0, +1, +gx, +gxy and sums}),

@@ -6,8 +6,8 @@
 
     The expansion is the published VPIC scheme: each Yee component is
     bilinear in its transverse axes and held at the staggered midpoint
-    along its own axis.  It coincides with the direct staggered
-    trilinear gather ({!Interp.gather_into}) evaluated at the staggered
+    along its own axis.  It coincides with the textbook staggered
+    trilinear gather (the test suite's oracle) evaluated at the staggered
     midpoints (fx = 1/2 for ex, (fy,fz) = 1/2 for bx, ...) — the
     equivalence the test suite pins — and differs from it off-midpoint
     by dropping the piecewise half-cell break, which is what lets a

@@ -243,48 +243,9 @@ let higuera_cary ~u ~ex ~ey ~ez ~bx ~by ~bz ~qdt_2m =
 
 (* Deposit one straight segment (x1..x2 etc, in-cell coordinates in [0,1])
    of a particle with per-axis current coefficients (cx,cy,cz) into the
-   J accumulators of the cell at flat voxel [v].  Villasenor-Buneman
-   first-order, charge-conserving form. *)
-let deposit_segment (jx : Sf.data) (jy : Sf.data) (jz : Sf.data) gx gxy v ~x1
-    ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz =
-  let open Bigarray.Array1 in
-  let dx = x2 -. x1 and dy = y2 -. y1 and dz = z2 -. z1 in
-  let xb = 0.5 *. (x1 +. x2) in
-  let yb = 0.5 *. (y1 +. y2) in
-  let zb = 0.5 *. (z1 +. z2) in
-  let add a idx v' = unsafe_set a idx (unsafe_get a idx +. v') in
-  (* Jx: transverse (y,z) *)
-  let qx = cx *. dx in
-  if qx <> 0. then begin
-    let corr = dy *. dz /. 12. in
-    add jx v (qx *. (((1. -. yb) *. (1. -. zb)) +. corr));
-    add jx (v + gx) (qx *. ((yb *. (1. -. zb)) -. corr));
-    add jx (v + gxy) (qx *. (((1. -. yb) *. zb) -. corr));
-    add jx (v + gx + gxy) (qx *. ((yb *. zb) +. corr))
-  end;
-  (* Jy: transverse (z,x) *)
-  let qy = cy *. dy in
-  if qy <> 0. then begin
-    let corr = dz *. dx /. 12. in
-    add jy v (qy *. (((1. -. zb) *. (1. -. xb)) +. corr));
-    add jy (v + gxy) (qy *. ((zb *. (1. -. xb)) -. corr));
-    add jy (v + 1) (qy *. (((1. -. zb) *. xb) -. corr));
-    add jy (v + gxy + 1) (qy *. ((zb *. xb) +. corr))
-  end;
-  (* Jz: transverse (x,y) *)
-  let qz = cz *. dz in
-  if qz <> 0. then begin
-    let corr = dx *. dy /. 12. in
-    add jz v (qz *. (((1. -. xb) *. (1. -. yb)) +. corr));
-    add jz (v + 1) (qz *. ((xb *. (1. -. yb)) -. corr));
-    add jz (v + gx) (qz *. (((1. -. xb) *. yb) -. corr));
-    add jz (v + gx + 1) (qz *. ((xb *. yb) +. corr))
-  end
-
-(* Same segment, scattered into the cell's 12-slot accumulator block
-   instead of the three J meshes: identical arithmetic, identical slot
-   semantics (Accumulator.unload folds slot q of voxel v onto the mesh
-   target deposit_segment would have written). *)
+   12-slot accumulator block of the cell at flat voxel [v].
+   Villasenor-Buneman first-order, charge-conserving form; slot q of the
+   block is folded onto its J-mesh target by Accumulator.unload. *)
 let deposit_segment_acc (acc : Sf.data) v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz =
   let open Bigarray.Array1 in
   let dx = x2 -. x1 and dy = y2 -. y1 and dz = z2 -. z1 in
@@ -330,11 +291,6 @@ let face_action = function
 (* Everything the walk needs, prepared once per species push. *)
 type walk_env = {
   g : Grid.t;
-  jxa : Sf.data;
-  jya : Sf.data;
-  jza : Sf.data;
-  gx : int;
-  gxy : int;
   actions : face_action array; (* indexed 2*axis + (1 if hi side) *)
   extents : int array;
   segments : int ref;
@@ -342,16 +298,12 @@ type walk_env = {
   refluxed : int ref;
   rng : Vpic_util.Rng.t option; (* required for Refluxing faces *)
   s32 : Store.f32; (* 1-slot scratch: round to f32 without boxing Int32 *)
-  acc : Sf.data option; (* accumulator slots; deposits bypass the J meshes *)
+  acc : Sf.data; (* accumulator slots every segment deposits into *)
 }
 
-let make_env ?rng ?acc g f bc ~segments ~reflected ~refluxed =
+let make_env ?rng accum g bc ~segments ~reflected ~refluxed =
+  assert (Accumulator.grid accum == g);
   { g;
-    jxa = Sf.data f.Vpic_field.Em_field.jx;
-    jya = Sf.data f.Vpic_field.Em_field.jy;
-    jza = Sf.data f.Vpic_field.Em_field.jz;
-    gx = g.Grid.gx;
-    gxy = g.Grid.gx * g.Grid.gy;
     actions =
       [| face_action bc.Bc.xlo; face_action bc.Bc.xhi;
          face_action bc.Bc.ylo; face_action bc.Bc.yhi;
@@ -362,7 +314,7 @@ let make_env ?rng ?acc g f bc ~segments ~reflected ~refluxed =
     refluxed;
     rng;
     s32 = Store.f32_create 1;
-    acc }
+    acc = Accumulator.data accum }
 
 let round32_env env x =
   Bigarray.Array1.unsafe_set env.s32 0 x;
@@ -428,13 +380,8 @@ let walk env ~wk ~cell ~u ~cxc ~cyc ~czc =
     let y2 = endpoint 1 y1 wk.(4) in
     let z2 = endpoint 2 z1 wk.(5) in
     let v = Grid.voxel env.g cell.(0) cell.(1) cell.(2) in
-    (match env.acc with
-    | Some a ->
-        deposit_segment_acc a v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx:cxc ~cy:cyc
-          ~cz:czc
-    | None ->
-        deposit_segment env.jxa env.jya env.jza env.gx env.gxy v ~x1 ~y1 ~z1
-          ~x2 ~y2 ~z2 ~cx:cxc ~cy:cyc ~cz:czc);
+    deposit_segment_acc env.acc v ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx:cxc ~cy:cyc
+      ~cz:czc;
     incr env.segments;
     wk.(0) <- x2;
     wk.(1) <- y2;
@@ -495,24 +442,26 @@ let walk env ~wk ~cell ~u ~cxc ~cyc ~czc =
   done;
   !status
 
-let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
-    ?interp ?accum ?rng ?(pusher = Boris) ?(kernel = Scalar) ?(region = `All)
-    (s : Species.t) f bc =
-  (match kernel with
+(* The block kernel's fused passes hard-code the Boris rotation, so a
+   block kernel with another pusher is refused rather than quietly run
+   on the scalar loop. *)
+let check_kernel ~pusher = function
   | Scalar -> ()
   | Block { width } ->
       if width < 1 || width > 16 then
-        invalid_arg "Push.advance: block width must be in [1,16]");
+        invalid_arg "Push.advance: block width must be in [1,16]";
+      if pusher <> Boris then
+        invalid_arg
+          ("Push.advance: the block kernel requires the boris pusher, not "
+          ^ kind_to_string pusher)
+
+let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?rng
+    ?(pusher = Boris) ?(kernel = Scalar) ?(region = `All) ~interp ~accum
+    (s : Species.t) f bc =
+  check_kernel ~pusher kernel;
   let g = s.Species.grid in
   assert (g == f.Vpic_field.Em_field.grid);
-  let gf = match gather_from with Some gf -> gf | None -> f in
-  assert (g == gf.Vpic_field.Em_field.grid);
-  (match interp with
-  | Some it -> assert (Interpolator.grid it == g)
-  | None -> ());
-  (match accum with
-  | Some ac -> assert (Accumulator.grid ac == g)
-  | None -> ());
+  assert (Interpolator.grid interp == g);
   let dt = g.Grid.dt in
   let qdt_2m = 0.5 *. s.Species.q *. dt /. s.Species.m in
   let inv_dx = 1. /. g.Grid.dx
@@ -525,11 +474,7 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
   let segments = ref 0 in
   let reflected = ref 0 in
   let refluxed = ref 0 in
-  let env =
-    make_env ?rng
-      ?acc:(Option.map Accumulator.data accum)
-      g f bc ~segments ~reflected ~refluxed
-  in
+  let env = make_env ?rng accum g bc ~segments ~reflected ~refluxed in
   let fields = Array.make 6 0. in
   let u = Array.make 3 0. in
   let wk = Array.make 6 0. in
@@ -554,32 +499,9 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
   (* Boris fast path: the gather and the rotation are done with local
      unboxed arithmetic instead of cross-module calls (which box every
      float argument on this toolchain).  The formulas below are copied
-     verbatim from Interp.tri / Interp.gather_into / boris, in the same
+     verbatim from Interpolator.gather_into / boris, in the same
      evaluation order, so results are bit-identical to the generic
      path. *)
-  let dex = Sf.data gf.Vpic_field.Em_field.ex
-  and dey = Sf.data gf.Vpic_field.Em_field.ey
-  and dez = Sf.data gf.Vpic_field.Em_field.ez
-  and dbx = Sf.data gf.Vpic_field.Em_field.bx
-  and dby = Sf.data gf.Vpic_field.Em_field.by
-  and dbz = Sf.data gf.Vpic_field.Em_field.bz in
-  let ggx = env.gx and ggxy = env.gxy in
-  let tri8 (a : Sf.data) v tx ty tz =
-    let sx0 = 1. -. tx and sy0 = 1. -. ty and sz0 = 1. -. tz in
-    let c00 = (sx0 *. unsafe_get a v) +. (tx *. unsafe_get a (v + 1)) in
-    let c10 =
-      (sx0 *. unsafe_get a (v + ggx)) +. (tx *. unsafe_get a (v + ggx + 1))
-    in
-    let c01 =
-      (sx0 *. unsafe_get a (v + ggxy)) +. (tx *. unsafe_get a (v + ggxy + 1))
-    in
-    let c11 =
-      (sx0 *. unsafe_get a (v + ggxy + ggx))
-      +. (tx *. unsafe_get a (v + ggxy + ggx + 1))
-    in
-    (sz0 *. ((sy0 *. c00) +. (ty *. c10)))
-    +. (tz *. ((sy0 *. c01) +. (ty *. c11)))
-  in
   (* Boundary shell: cells whose gather stencil or walk can touch the
      ghost layer.  The stencil reaches one cell out and the Courant bound
      keeps a step inside +-1 cell, so only shell particles depend on the
@@ -592,9 +514,7 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
     | `Interior d -> (true, Some d)
   in
   let pushed = ref 0 in
-  let idata =
-    match interp with Some it -> Some (Interpolator.data it) | None -> None
-  in
+  let idata = Interpolator.data interp in
   (* Run-cached interpolator block: the voxel's 18 coefficients are
      copied into unboxed locals once per voxel run, so gathers within
      the run are pure register arithmetic on one 72-byte block. *)
@@ -651,16 +571,13 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
       lshell :=
         ci = 1 || ci = snx || cj = 1 || cj = sny || ck = 1 || ck = snz;
       incr runs;
-      match idata with
-      | Some d ->
-          (* A skipped shell voxel's entry may not be loaded yet (the
-             `Interior pass runs before load_boundary); its coefficients
-             are copied but never evaluated. *)
-          let o = vi * Interpolator.coeffs_per_voxel in
-          for q = 0 to Interpolator.coeffs_per_voxel - 1 do
-            Array.unsafe_set icoef q (unsafe_get d (o + q))
-          done
-      | None -> ()
+      (* A skipped shell voxel's entry may not be loaded yet (the
+         `Interior pass runs before load_boundary); its coefficients are
+         copied but never evaluated. *)
+      let o = vi * Interpolator.coeffs_per_voxel in
+      for q = 0 to Interpolator.coeffs_per_voxel - 1 do
+        Array.unsafe_set icoef q (unsafe_get idata (o + q))
+      done
     end;
     if skip_shell && !lshell then (
       match defer with Some d -> Defer.add d n | None -> ())
@@ -671,15 +588,15 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
     cell.(1) <- cj;
     cell.(2) <- ck;
     (* f32 reads widen to f64 losslessly; all arithmetic below is f64. *)
-    (match (pusher, idata) with
-    | Boris, Some _ ->
+    let fx = unsafe_get sfx n
+    and fy = unsafe_get sfy n
+    and fz = unsafe_get sfz n in
+    let c q = Array.unsafe_get icoef q in
+    (match pusher with
+    | Boris ->
         (* Interpolator gather: evaluate the run-cached expansion — the
            same arithmetic as Interpolator.gather_into — then the Boris
-           rotation exactly as in the direct arm below. *)
-        let fx = unsafe_get sfx n
-        and fy = unsafe_get sfy n
-        and fz = unsafe_get sfz n in
-        let c q = Array.unsafe_get icoef q in
+           rotation with [boris]'s expressions. *)
         let ex = c 0 +. (fy *. c 1) +. (fz *. (c 2 +. (fy *. c 3))) in
         let ey = c 4 +. (fz *. c 5) +. (fx *. (c 6 +. (fz *. c 7))) in
         let ez = c 8 +. (fx *. c 9) +. (fy *. (c 10 +. (fx *. c 11))) in
@@ -705,59 +622,13 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
         u.(0) <- ux +. (qdt_2m *. ex);
         u.(1) <- uy +. (qdt_2m *. ey);
         u.(2) <- uz +. (qdt_2m *. ez)
-    | Boris, None ->
-        let fx = unsafe_get sfx n
-        and fy = unsafe_get sfy n
-        and fz = unsafe_get sfz n in
-        let dxs = if fx >= 0.5 then 0 else -1 in
-        let txs = if fx >= 0.5 then fx -. 0.5 else fx +. 0.5 in
-        let dys = if fy >= 0.5 then 0 else -1 in
-        let tys = if fy >= 0.5 then fy -. 0.5 else fy +. 0.5 in
-        let dzs = if fz >= 0.5 then 0 else -1 in
-        let tzs = if fz >= 0.5 then fz -. 0.5 else fz +. 0.5 in
-        let oy = ggx * dys and oz = ggxy * dzs in
-        let ex = tri8 dex (vi + dxs) txs fy fz in
-        let ey = tri8 dey (vi + oy) fx tys fz in
-        let ez = tri8 dez (vi + oz) fx fy tzs in
-        let bx = tri8 dbx (vi + oy + oz) fx tys tzs in
-        let by = tri8 dby (vi + dxs + oz) txs fy tzs in
-        let bz = tri8 dbz (vi + dxs + oy) txs tys fz in
-        let ux = unsafe_get sux n +. (qdt_2m *. ex) in
-        let uy = unsafe_get suy n +. (qdt_2m *. ey) in
-        let uz = unsafe_get suz n +. (qdt_2m *. ez) in
-        let gamma_m = sqrt (1. +. (ux *. ux) +. (uy *. uy) +. (uz *. uz)) in
-        let f = qdt_2m /. gamma_m in
-        let tx = f *. bx and ty = f *. by and tz = f *. bz in
-        let t2 = (tx *. tx) +. (ty *. ty) +. (tz *. tz) in
-        let sx = 2. *. tx /. (1. +. t2) in
-        let sy = 2. *. ty /. (1. +. t2) in
-        let sz = 2. *. tz /. (1. +. t2) in
-        let px = ux +. ((uy *. tz) -. (uz *. ty)) in
-        let py = uy +. ((uz *. tx) -. (ux *. tz)) in
-        let pz = uz +. ((ux *. ty) -. (uy *. tx)) in
-        let ux = ux +. ((py *. sz) -. (pz *. sy)) in
-        let uy = uy +. ((pz *. sx) -. (px *. sz)) in
-        let uz = uz +. ((px *. sy) -. (py *. sx)) in
-        u.(0) <- ux +. (qdt_2m *. ex);
-        u.(1) <- uy +. (qdt_2m *. ey);
-        u.(2) <- uz +. (qdt_2m *. ez)
-    | (Vay | Higuera_cary), _ ->
-        (match idata with
-        | Some _ ->
-            let fx = unsafe_get sfx n
-            and fy = unsafe_get sfy n
-            and fz = unsafe_get sfz n in
-            let c q = Array.unsafe_get icoef q in
-            fields.(0) <- c 0 +. (fy *. c 1) +. (fz *. (c 2 +. (fy *. c 3)));
-            fields.(1) <- c 4 +. (fz *. c 5) +. (fx *. (c 6 +. (fz *. c 7)));
-            fields.(2) <-
-              c 8 +. (fx *. c 9) +. (fy *. (c 10 +. (fx *. c 11)));
-            fields.(3) <- c 12 +. (fx *. c 13);
-            fields.(4) <- c 14 +. (fy *. c 15);
-            fields.(5) <- c 16 +. (fz *. c 17)
-        | None ->
-            Interp.gather_into gf ~i:ci ~j:cj ~k:ck ~fx:(unsafe_get sfx n)
-              ~fy:(unsafe_get sfy n) ~fz:(unsafe_get sfz n) ~out:fields);
+    | Vay | Higuera_cary ->
+        fields.(0) <- c 0 +. (fy *. c 1) +. (fz *. (c 2 +. (fy *. c 3)));
+        fields.(1) <- c 4 +. (fz *. c 5) +. (fx *. (c 6 +. (fz *. c 7)));
+        fields.(2) <- c 8 +. (fx *. c 9) +. (fy *. (c 10 +. (fx *. c 11)));
+        fields.(3) <- c 12 +. (fx *. c 13);
+        fields.(4) <- c 14 +. (fy *. c 15);
+        fields.(5) <- c 16 +. (fz *. c 17);
         u.(0) <- unsafe_get sux n;
         u.(1) <- unsafe_get suy n;
         u.(2) <- unsafe_get suz n;
@@ -805,7 +676,6 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
      exact sequence. *)
   let block_lanes = ref 0 and block_cleanup = ref 0 in
   let run_blocks width =
-    let d = match idata with Some d -> d | None -> assert false in
     let bfx = Array.make width 0. and bfy = Array.make width 0.
     and bfz = Array.make width 0. in
     let bux = Array.make width 0. and buy = Array.make width 0.
@@ -813,7 +683,7 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
     let brx = Array.make width 0. and bry = Array.make width 0.
     and brz = Array.make width 0. in
     let sq = s.Species.q in
-    let acc = env.acc in
+    let a = env.acc in
     (* crossing-mask slack: any value >= 1 + 2^-50 works, see pass 2 *)
     let sl = 1. +. 1e-15 in
     let n = ref first in
@@ -838,7 +708,7 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
         incr runs;
         let o = vi * Interpolator.coeffs_per_voxel in
         for q = 0 to Interpolator.coeffs_per_voxel - 1 do
-          Array.unsafe_set icoef q (unsafe_get d (o + q))
+          Array.unsafe_set icoef q (unsafe_get idata (o + q))
         done
       end;
       if skip_shell && !lshell then (
@@ -994,68 +864,63 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
               let w = unsafe_get sw p in
               let qw = sq *. w in
               let cx = qw *. kx and cy = qw *. ky and cz = qw *. kz in
-              (match acc with
-              | Some a ->
-                  (* the single full-length segment, inlined with
-                     deposit_segment_acc's exact arithmetic (the zero
-                     guards matter bitwise: they keep -0. slots) *)
-                  let dx = x2 -. x1 and dy = y2 -. y1 and dz = z2 -. z1 in
-                  let xb = 0.5 *. (x1 +. x2) in
-                  let yb = 0.5 *. (y1 +. y2) in
-                  let zb = 0.5 *. (z1 +. z2) in
-                  (* direct read-modify-write sets (no add closure:
-                     a per-lane allocation and 12 indirect calls) *)
-                  let qx = cx *. dx in
-                  if qx <> 0. then begin
-                    let corr = dy *. dz /. 12. in
-                    unsafe_set a o12
-                      (unsafe_get a o12
-                      +. (qx *. (((1. -. yb) *. (1. -. zb)) +. corr)));
-                    unsafe_set a (o12 + 1)
-                      (unsafe_get a (o12 + 1)
-                      +. (qx *. ((yb *. (1. -. zb)) -. corr)));
-                    unsafe_set a (o12 + 2)
-                      (unsafe_get a (o12 + 2)
-                      +. (qx *. (((1. -. yb) *. zb) -. corr)));
-                    unsafe_set a (o12 + 3)
-                      (unsafe_get a (o12 + 3)
-                      +. (qx *. ((yb *. zb) +. corr)))
-                  end;
-                  let qy = cy *. dy in
-                  if qy <> 0. then begin
-                    let corr = dz *. dx /. 12. in
-                    unsafe_set a (o12 + 4)
-                      (unsafe_get a (o12 + 4)
-                      +. (qy *. (((1. -. zb) *. (1. -. xb)) +. corr)));
-                    unsafe_set a (o12 + 5)
-                      (unsafe_get a (o12 + 5)
-                      +. (qy *. ((zb *. (1. -. xb)) -. corr)));
-                    unsafe_set a (o12 + 6)
-                      (unsafe_get a (o12 + 6)
-                      +. (qy *. (((1. -. zb) *. xb) -. corr)));
-                    unsafe_set a (o12 + 7)
-                      (unsafe_get a (o12 + 7)
-                      +. (qy *. ((zb *. xb) +. corr)))
-                  end;
-                  let qz = cz *. dz in
-                  if qz <> 0. then begin
-                    let corr = dx *. dy /. 12. in
-                    unsafe_set a (o12 + 8)
-                      (unsafe_get a (o12 + 8)
-                      +. (qz *. (((1. -. xb) *. (1. -. yb)) +. corr)));
-                    unsafe_set a (o12 + 9)
-                      (unsafe_get a (o12 + 9)
-                      +. (qz *. ((xb *. (1. -. yb)) -. corr)));
-                    unsafe_set a (o12 + 10)
-                      (unsafe_get a (o12 + 10)
-                      +. (qz *. (((1. -. xb) *. yb) -. corr)));
-                    unsafe_set a (o12 + 11)
-                      (unsafe_get a (o12 + 11)
-                      +. (qz *. ((xb *. yb) +. corr)))
-                  end
-              | None ->
-                  deposit_segment env.jxa env.jya env.jza env.gx env.gxy vi
-                    ~x1 ~y1 ~z1 ~x2 ~y2 ~z2 ~cx ~cy ~cz);
+              (* the single full-length segment, inlined with
+                 deposit_segment_acc's exact arithmetic (the zero
+                 guards matter bitwise: they keep -0. slots) *)
+              let dx = x2 -. x1 and dy = y2 -. y1 and dz = z2 -. z1 in
+              let xb = 0.5 *. (x1 +. x2) in
+              let yb = 0.5 *. (y1 +. y2) in
+              let zb = 0.5 *. (z1 +. z2) in
+              (* direct read-modify-write sets (no add closure:
+                 a per-lane allocation and 12 indirect calls) *)
+              let qx = cx *. dx in
+              if qx <> 0. then begin
+                let corr = dy *. dz /. 12. in
+                unsafe_set a o12
+                  (unsafe_get a o12
+                  +. (qx *. (((1. -. yb) *. (1. -. zb)) +. corr)));
+                unsafe_set a (o12 + 1)
+                  (unsafe_get a (o12 + 1)
+                  +. (qx *. ((yb *. (1. -. zb)) -. corr)));
+                unsafe_set a (o12 + 2)
+                  (unsafe_get a (o12 + 2)
+                  +. (qx *. (((1. -. yb) *. zb) -. corr)));
+                unsafe_set a (o12 + 3)
+                  (unsafe_get a (o12 + 3)
+                  +. (qx *. ((yb *. zb) +. corr)))
+              end;
+              let qy = cy *. dy in
+              if qy <> 0. then begin
+                let corr = dz *. dx /. 12. in
+                unsafe_set a (o12 + 4)
+                  (unsafe_get a (o12 + 4)
+                  +. (qy *. (((1. -. zb) *. (1. -. xb)) +. corr)));
+                unsafe_set a (o12 + 5)
+                  (unsafe_get a (o12 + 5)
+                  +. (qy *. ((zb *. (1. -. xb)) -. corr)));
+                unsafe_set a (o12 + 6)
+                  (unsafe_get a (o12 + 6)
+                  +. (qy *. (((1. -. zb) *. xb) -. corr)));
+                unsafe_set a (o12 + 7)
+                  (unsafe_get a (o12 + 7)
+                  +. (qy *. ((zb *. xb) +. corr)))
+              end;
+              let qz = cz *. dz in
+              if qz <> 0. then begin
+                let corr = dx *. dy /. 12. in
+                unsafe_set a (o12 + 8)
+                  (unsafe_get a (o12 + 8)
+                  +. (qz *. (((1. -. xb) *. (1. -. yb)) +. corr)));
+                unsafe_set a (o12 + 9)
+                  (unsafe_get a (o12 + 9)
+                  +. (qz *. ((xb *. (1. -. yb)) -. corr)));
+                unsafe_set a (o12 + 10)
+                  (unsafe_get a (o12 + 10)
+                  +. (qz *. (((1. -. xb) *. yb) -. corr)));
+                unsafe_set a (o12 + 11)
+                  (unsafe_get a (o12 + 11)
+                  +. (qz *. ((xb *. yb) +. corr)))
+              end;
               incr segments;
               (* voxel unchanged; wk-equivalents are f32-representable
                  (clamp_offset rounded them), u narrows once, as in the
@@ -1076,19 +941,18 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
   in
   (* An `Interior pass never removes particles (movers and walls need a
      shell cell), so the indices it defers stay valid for the `Deferred
-     pass that follows.  The block kernel needs the Boris/interpolator
-     fast path; other configurations fall back to the scalar loop, and
-     the `Deferred boundary pass is always scalar (its indices are not
-     contiguous, so there are no runs to block over). *)
+     pass that follows.  The `Deferred boundary pass is always scalar
+     (its indices are not contiguous, so there are no runs to block
+     over). *)
   (match region with
   | `Deferred d ->
       for m = 0 to Defer.count d - 1 do
         push_one (Defer.get d m)
       done
   | `All | `Interior _ -> (
-      match (kernel, pusher, idata) with
-      | Block { width }, Boris, Some _ -> run_blocks width
-      | _ ->
+      match kernel with
+      | Block { width } -> run_blocks width
+      | Scalar ->
           for n = first to last do
             push_one n
           done));
@@ -1097,26 +961,17 @@ let advance ?(perf = Perf.global) ?(first = 0) ?count ?movers ?gather_from
   List.iter (fun n -> Species.remove s n) !dead;
   let advanced = !pushed in
   Perf.add_particle_steps perf (float_of_int advanced);
-  let gather_flops =
-    match interp with
-    | Some _ -> Interpolator.flops_per_gather
-    | None -> Interp.flops_per_gather
-  in
   Perf.add_flops perf
-    ((float_of_int advanced *. (gather_flops +. flops_per_push))
+    ((float_of_int advanced *. (Interpolator.flops_per_gather +. flops_per_push))
     +. (float_of_int !segments *. flops_per_segment));
   (* Per particle: 32 B read + 32 B written (the store) plus ~96 B of
-     current scatter (J meshes or accumulator slots).  The gather reads
-     either the ~192 B direct stencil per particle or, on the
-     interpolator path, one 72 B coefficient block per voxel run. *)
+     accumulator scatter; the gather reads one 72 B coefficient block per
+     voxel run. *)
   Perf.add_bytes perf
     (float_of_int advanced *. (2. *. float_of_int Store.bytes_per_particle));
-  (match interp with
-  | Some _ ->
-      Perf.add_bytes perf
-        ((float_of_int advanced *. 96.)
-        +. (float_of_int !runs *. Interpolator.bytes_per_voxel))
-  | None -> Perf.add_bytes perf (float_of_int advanced *. (192. +. 96.)));
+  Perf.add_bytes perf
+    ((float_of_int advanced *. 96.)
+    +. (float_of_int !runs *. Interpolator.bytes_per_voxel));
   { advanced;
     segments = !segments;
     absorbed = !absorbed;
@@ -1176,56 +1031,50 @@ let sum_stats a b =
    is a function of the tile count alone and every merge below (defer
    lists, perf ledgers, stats, slab reduction at unload) runs in
    ascending tile order, so results are bitwise invariant in the lane
-   count.  Without an accumulator the tiles would share the J meshes,
-   so that configuration (and a 1-tile pool) takes the fused serial
-   path. *)
-let advance_team ?(perf = Perf.global) ?gather_from ?interp ?accum ?rng
-    ?(pusher = Boris) ?(kernel = Scalar) ~pool ~scratch ~defer (s : Species.t)
-    f bc =
+   count.  A 1-tile pool takes the fused serial path. *)
+let advance_team ?(perf = Perf.global) ?rng ?(pusher = Boris)
+    ?(kernel = Scalar) ~interp ~accum ~pool ~scratch ~defer (s : Species.t) f
+    bc =
   let module P = Vpic_util.Pool in
+  (* refuse a bad kernel here, not as a worker-lane failure *)
+  check_kernel ~pusher kernel;
   let tiles = pool.P.tiles in
-  match accum with
-  | _ when tiles <= 1 ->
-      advance ~perf ?gather_from ?interp ?accum ?rng ~pusher ~kernel
-        ~region:(`Interior defer) s f bc
-  | None ->
-      advance ~perf ?gather_from ?interp ?rng ~pusher ~kernel
-        ~region:(`Interior defer) s f bc
-  | Some acc ->
-      Team_scratch.sized scratch tiles;
-      (* allocate all slabs before the fork: [slab] caches the array on
-         first use and concurrent first calls would race *)
-      ignore (Accumulator.slab acc ~n:tiles ~tile:0);
-      let np = Species.count s in
-      let stats = Array.make tiles zero_stats in
-      pool.P.run ~label:"push.interior" ~tiles (fun ~lane:_ ~tile ->
-          let lo, hi = P.split ~total:np ~tiles ~tile in
-          if hi > lo then
-            stats.(tile) <-
-              advance
-                ~perf:scratch.Team_scratch.perfs.(tile)
-                ~first:lo ~count:(hi - lo) ?gather_from ?interp
-                ~accum:(Accumulator.slab acc ~n:tiles ~tile)
-                ?rng ~pusher ~kernel
-                ~region:(`Interior scratch.Team_scratch.defers.(tile))
-                s f bc);
-      let total = ref zero_stats in
-      for tile = 0 to tiles - 1 do
-        Defer.append defer scratch.Team_scratch.defers.(tile);
-        let c = scratch.Team_scratch.perfs.(tile) in
-        Perf.merge_into ~dst:perf c;
-        Perf.reset c;
-        total := sum_stats !total stats.(tile)
-      done;
-      !total
+  if tiles <= 1 then
+    advance ~perf ~interp ~accum ?rng ~pusher ~kernel
+      ~region:(`Interior defer) s f bc
+  else begin
+    Team_scratch.sized scratch tiles;
+    (* allocate all slabs before the fork: [slab] caches the array on
+       first use and concurrent first calls would race *)
+    ignore (Accumulator.slab accum ~n:tiles ~tile:0);
+    let np = Species.count s in
+    let stats = Array.make tiles zero_stats in
+    pool.P.run ~label:"push.interior" ~tiles (fun ~lane:_ ~tile ->
+        let lo, hi = P.split ~total:np ~tiles ~tile in
+        if hi > lo then
+          stats.(tile) <-
+            advance
+              ~perf:scratch.Team_scratch.perfs.(tile)
+              ~first:lo ~count:(hi - lo) ~interp
+              ~accum:(Accumulator.slab accum ~n:tiles ~tile)
+              ?rng ~pusher ~kernel
+              ~region:(`Interior scratch.Team_scratch.defers.(tile))
+              s f bc);
+    let total = ref zero_stats in
+    for tile = 0 to tiles - 1 do
+      Defer.append defer scratch.Team_scratch.defers.(tile);
+      let c = scratch.Team_scratch.perfs.(tile) in
+      Perf.merge_into ~dst:perf c;
+      Perf.reset c;
+      total := sum_stats !total stats.(tile)
+    done;
+    !total
+  end
 
-let finish_movers ?(perf = Perf.global) ?movers_out ?accum ?rng
+let finish_movers ?(perf = Perf.global) ?movers_out ?rng ~accum
     (s : Species.t) f bc (incoming : Movers.t) =
   let g = s.Species.grid in
   assert (g == f.Vpic_field.Em_field.grid);
-  (match accum with
-  | Some ac -> assert (Accumulator.grid ac == g)
-  | None -> ());
   let dt = g.Grid.dt in
   let kx = 1. /. (g.Grid.dy *. g.Grid.dz *. dt) in
   let ky = 1. /. (g.Grid.dz *. g.Grid.dx *. dt) in
@@ -1233,11 +1082,7 @@ let finish_movers ?(perf = Perf.global) ?movers_out ?accum ?rng
   let segments = ref 0 in
   let reflected = ref 0 in
   let refluxed = ref 0 in
-  let env =
-    make_env ?rng
-      ?acc:(Option.map Accumulator.data accum)
-      g f bc ~segments ~reflected ~refluxed
-  in
+  let env = make_env ?rng accum g bc ~segments ~reflected ~refluxed in
   let u = Array.make 3 0. in
   let wk = Array.make 6 0. in
   let cell = Array.make 3 0 in

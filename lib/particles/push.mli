@@ -1,8 +1,10 @@
 (** The PIC inner loop (VPIC's hot kernel): for every particle of a
-    species, gather E and B, apply the relativistic Boris rotation, move
-    the particle — splitting its trajectory at every cell-face crossing —
-    and scatter charge-conserving Villasenor–Buneman currents into the
-    field's J accumulators.
+    species, gather E and B from the voxel's {!Interpolator} block, apply
+    the relativistic Boris rotation, move the particle — splitting its
+    trajectory at every cell-face crossing — and scatter
+    charge-conserving Villasenor–Buneman currents into the voxel's
+    {!Accumulator} block.  The interpolator and the accumulator are the
+    only way the kernel reads fields and deposits current, as in VPIC.
 
     Mixed precision: particles live in the 32-byte f32 {!Store}; the
     kernel reads them into f64 registers, computes and deposits in f64,
@@ -25,10 +27,10 @@
       {!finish_movers}.  (This is VPIC's scheme; it also guarantees
       deposition never reaches past the single ghost layer.)
 
-    Requires valid EM ghosts (both sides) before the call.  Currents are
-    deposited into interior and first-ghost-layer slots; fold them {e
-    after} migration completes (the neighbour's finished movers deposit
-    into its ghost slots too).
+    The caller loads the interpolator before the call (valid EM ghosts
+    required) and unloads the accumulator into the J meshes after
+    migration completes (the neighbour's finished movers deposit into
+    the same accumulator), then folds the ghost currents.
 
     Stability: per-axis displacement must stay below one cell per step,
     guaranteed by the Courant limit since |v| < c = 1. *)
@@ -57,8 +59,8 @@ val block_pass_flops : unit -> (string * float) list
     voxel run through fused gather/rotate/advance/deposit passes with a
     branch-free cell-crossing mask — flagged lanes fall out to the
     scalar cleanup path, so results are bitwise identical to [Scalar]
-    (only speed differs).  [Block] requires the Boris pusher and an
-    [interp]; other configurations silently run [Scalar]. *)
+    (only speed differs).  [Block] requires the Boris pusher and a
+    width in [1,16]; see {!check_kernel}. *)
 type kernel = Scalar | Block of { width : int }
 
 val kernel_to_string : kernel -> string
@@ -102,6 +104,13 @@ end
 (** Momentum-update kernel selection (see the kernel docs below). *)
 type kind = Boris | Vay | Higuera_cary
 
+(** [check_kernel ~pusher kernel] raises [Invalid_argument] unless the
+    pair can run: a [Block] kernel needs a width in [1,16] and the
+    [Boris] pusher (its fused passes hard-code the Boris rotation).
+    {!advance}, {!advance_team} and [Vpic_core.Simulation] call it
+    before any particle moves. *)
+val check_kernel : pusher:kind -> kernel -> unit
+
 type stats = {
   advanced : int;   (** particles pushed *)
   segments : int;   (** deposition segments (>= advanced) *)
@@ -119,13 +128,20 @@ type stats = {
 val zero_stats : stats
 val sum_stats : stats -> stats -> stats
 
-(** [advance ?first ?count ?movers species fields bc] pushes the whole
-    species by default, or the index block [first, first+count) — the
-    interface the simulated SPE pipeline streams blocks through (block
-    mode must not delete particles: no absorbing or domain faces there).
+(** [advance ~interp ~accum species fields bc] pushes the whole species
+    by default, or the index block [first, first+count) — the interface
+    the simulated SPE pipeline streams blocks through (block mode must
+    not delete particles: no absorbing or domain faces there).
     Outbound particles are appended to [movers]; raises
     [Invalid_argument] if a domain face is crossed with no [movers]
-    buffer.
+    buffer, or if {!check_kernel} refuses [pusher]/[kernel].
+
+    [interp] supplies E and B: one run-cached 72-byte block per occupied
+    voxel, which the caller must have [load]ed from the field the
+    particles should feel (a smoothed copy when filtering).  [accum]
+    receives every current segment in its per-voxel slots; the caller
+    unloads it into [fields]' J meshes once per step.  [fields] is the
+    field the species lives on (checked against the species grid).
 
     [region] splits the push around an in-flight ghost fill.  The
     boundary {e shell} is the set of cells touching the ghost layer
@@ -137,43 +153,29 @@ val sum_stats : stats -> stats -> stats
     recorded indices stay valid.  [`Deferred d] then pushes exactly
     those (ignoring [first]/[count]).  [`All] (default) is the fused
     equivalent.  [stats.advanced] counts particles actually pushed by
-    the call. *)
+    the call.
+
+    [kernel] selects the inner-loop shape (see {!kernel}); [Block] runs
+    over [`All] and [`Interior] regions (the [`Deferred] boundary pass
+    has no contiguous runs and always runs scalar) and is
+    bitwise-identical to [Scalar].  [stats.block_lanes]/
+    [stats.block_cleanup] report its fused-lane and scalar-cleanup
+    counts. *)
 val advance :
   ?perf:Vpic_util.Perf.counters ->
   ?first:int ->
   ?count:int ->
   ?movers:Movers.t ->
-  ?gather_from:Vpic_field.Em_field.t ->
-  ?interp:Interpolator.t ->
-  ?accum:Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
   ?pusher:kind ->
   ?kernel:kernel ->
   ?region:[ `All | `Interior of Defer.t | `Deferred of Defer.t ] ->
+  interp:Interpolator.t ->
+  accum:Accumulator.t ->
   Species.t ->
   Vpic_field.Em_field.t ->
   Vpic_grid.Bc.t ->
   stats
-(** [gather_from] (default: the scatter field itself) supplies the E and B
-    the particles feel — used with binomially smoothed interpolation
-    fields so that force smoothing matches current smoothing (the
-    symmetric kernel makes the coupling energy-consistent).
-
-    [interp] switches the gather to the precomputed {!Interpolator}
-    coefficients (one run-cached 72-byte block per occupied voxel,
-    VPIC's expansion — a slightly different scheme from the direct
-    staggered gather; the caller must have [load]ed the relevant voxels
-    from the field the particles should feel).  [accum] redirects the
-    current scatter into the {!Accumulator}'s per-voxel slots (identical
-    arithmetic; the caller unloads once per step).  The two are
-    independent.
-
-    [kernel] selects the inner-loop shape (see {!kernel}); [Block] is
-    active on the Boris + [interp] configuration over [`All] and
-    [`Interior] regions (the [`Deferred] boundary pass has no
-    contiguous runs and always runs scalar) and is bitwise-identical
-    to [Scalar].  [stats.block_lanes]/[stats.block_cleanup] report its
-    fused-lane and scalar-cleanup counts. *)
 
 (** Reusable per-tile workspace (defer lists + flop ledgers) of
     {!advance_team}.  One per species, kept across steps. *)
@@ -193,17 +195,15 @@ end
     fixed tile count.  The interior region never deletes particles,
     creates movers or consumes [rng], which is what makes the fan-out
     safe.  The caller must run {!Accumulator.reduce} on [accum] before
-    unloading it.  With a 1-tile pool, or without [accum] (tiles would
-    share the J meshes), this is exactly [advance
+    unloading it.  With a 1-tile pool this is exactly [advance
     ~region:(`Interior defer)]. *)
 val advance_team :
   ?perf:Vpic_util.Perf.counters ->
-  ?gather_from:Vpic_field.Em_field.t ->
-  ?interp:Interpolator.t ->
-  ?accum:Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
   ?pusher:kind ->
   ?kernel:kernel ->
+  interp:Interpolator.t ->
+  accum:Accumulator.t ->
   pool:Vpic_util.Pool.t ->
   scratch:Team_scratch.t ->
   defer:Defer.t ->
@@ -216,19 +216,19 @@ val advance_team :
     indices already rebased to this rank, interior at the entry face).
     Settled particles are appended to the species; movers that stop at a
     further domain face go to [movers_out]; absorbed ones are dropped.
-    Returns (settled, absorbed, re-emitted). *)
+    The finished moves deposit into [accum] (the one the step's pushes
+    used, unloaded afterwards).  Returns (settled, absorbed,
+    re-emitted). *)
 val finish_movers :
   ?perf:Vpic_util.Perf.counters ->
   ?movers_out:Movers.t ->
-  ?accum:Accumulator.t ->
   ?rng:Vpic_util.Rng.t ->
+  accum:Accumulator.t ->
   Species.t ->
   Vpic_field.Em_field.t ->
   Vpic_grid.Bc.t ->
   Movers.t ->
   int * int * int
-(** [accum] routes the finished movers' deposition into the accumulator
-    (must be the one the step's pushes used, unloaded afterwards). *)
 
 (** {1 Momentum-update kernels}
 

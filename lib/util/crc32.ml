@@ -2,23 +2,26 @@
    running value is kept pre- and post-conditioned (xor 0xFFFFFFFF) by
    [init]/[finish], matching zlib's crc32(). *)
 
+(* Built eagerly at module initialisation, never [lazy]: forcing a lazy
+   value from two domains at once raises [CamlinternalLazy.Undefined],
+   and ranks saving checkpoints or campaign worker lanes hashing jobs do
+   hash concurrently.  The array is never written after this. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then
+          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let init = 0xFFFFFFFFl
 let finish crc = Int32.logxor crc 0xFFFFFFFFl
 
 let update crc b pos len =
   assert (pos >= 0 && len >= 0 && pos + len <= Bytes.length b);
-  let t = Lazy.force table in
+  let t = table in
   let crc = ref crc in
   for i = pos to pos + len - 1 do
     let idx =

@@ -12,6 +12,8 @@ module Species = Vpic_particle.Species
 module Store = Vpic_particle.Store
 module Particle = Vpic_particle.Particle
 module Push = Vpic_particle.Push
+module Interpolator = Vpic_particle.Interpolator
+module Accumulator = Vpic_particle.Accumulator
 module Moments = Vpic_particle.Moments
 module Loader = Vpic_particle.Loader
 module Rng = Vpic_util.Rng
@@ -44,6 +46,29 @@ let small_grid ?(n = 8) ?(l = 8.) () =
   let d = l /. float_of_int n in
   let dt = Grid.courant_dt ~dx:d ~dy:d ~dz:d () in
   Grid.make ~nx:n ~ny:n ~nz:n ~lx:l ~ly:l ~lz:l ~dt ()
+
+(* One push the way the step loop does it, for tests that start from a
+   field: load an interpolator from [f] (ghosts must be valid wherever
+   particles gather), push into a fresh accumulator, unload it into
+   [f]'s J meshes. *)
+let push ?first ?count ?movers ?rng ?pusher ?kernel ?region s f bc =
+  let g = s.Species.grid in
+  let interp = Interpolator.create g and accum = Accumulator.create g in
+  Interpolator.load interp f;
+  let st =
+    Push.advance ?first ?count ?movers ?rng ?pusher ?kernel ?region ~interp
+      ~accum s f bc
+  in
+  Accumulator.unload accum f;
+  st
+
+(* Migration the same way: finished movers deposit into a fresh
+   accumulator, unloaded into [f] afterwards. *)
+let migrate ?rng ports s f movers =
+  let accum = Accumulator.create s.Species.grid in
+  let st = Vpic_parallel.Migrate.exchange ?rng ~accum ports s f movers in
+  Accumulator.unload accum f;
+  st
 
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f

@@ -190,6 +190,54 @@ let test_srs_spe_parity () =
   in
   check_energies_bitwise "srs 10 steps, scalar vs spe stream" e_sc e_spe
 
+(* The block kernel's fused passes hard-code the Boris rotation.  Any
+   other pusher with a block kernel or block backend is refused before a
+   particle moves, instead of quietly running the scalar loop while
+   telemetry reports a block width. *)
+let test_block_rejects_non_boris () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let raises label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument msg ->
+        check_true (label ^ " names the pusher: " ^ msg)
+          (contains msg "boris")
+  in
+  let g = small_grid ~n:8 ~l:8. () in
+  let f = randomized_field g ~seed:5 in
+  let ip = Interpolator.create g in
+  Interpolator.load ip f;
+  List.iter
+    (fun pusher ->
+      let name = Push.kind_to_string pusher in
+      let s = forced_species g ~seed:11 in
+      let ac = Accumulator.create g in
+      let before = Species.get s 0 in
+      raises ("advance block8 + " ^ name) (fun () ->
+          Push.advance ~interp:ip ~accum:ac ~pusher
+            ~kernel:(Push.Block { width = 8 }) s f Bc.periodic);
+      check_true "no particle moved" (Species.get s 0 = before);
+      let mk push_backend () =
+        Simulation.make ~pusher ~push_backend ~grid:g
+          ~coupler:(Vpic.Coupler.local Bc.periodic) ()
+      in
+      raises ("make host_block + " ^ name)
+        (mk (Simulation.Host_block { width = 8 }));
+      raises ("make spe_stream + " ^ name)
+        (mk (Simulation.Spe_stream { width = 8; dma_block = 512 }));
+      let sim = mk Simulation.Host_scalar () in
+      raises ("set_push_backend host_block + " ^ name) (fun () ->
+          Simulation.set_push_backend sim (Simulation.Host_block { width = 8 }));
+      check_true "backend unchanged"
+        (Simulation.push_backend sim = Simulation.Host_scalar))
+    [ Push.Vay; Push.Higuera_cary ]
+
 let suite =
   [ case "block push: advance bitwise equals scalar (width 8)"
       test_advance_parity_w8;
@@ -200,4 +248,6 @@ let suite =
     case "block push: energies bitwise invariant in worker count"
       test_srs_block_worker_invariance;
     case "block push: spe-stream backend bitwise equals scalar"
-      test_srs_spe_parity ]
+      test_srs_spe_parity;
+    case "block push: block kernel refuses non-boris pushers"
+      test_block_rejects_non_boris ]

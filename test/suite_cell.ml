@@ -101,13 +101,24 @@ let pipeline_setup () =
   Vpic_particle.Sort.by_voxel s;
   (g, f, s)
 
+(* [Spe_pipeline.advance_species] the way [Helpers.push] runs
+   [Push.advance]: fresh interpolator loaded from [f], fresh
+   accumulator unloaded into [f] afterwards. *)
+let pipeline_push ?ppc_hint pipe s f bc =
+  let g = s.Species.grid in
+  let interp = Interpolator.create g and accum = Accumulator.create g in
+  Interpolator.load interp f;
+  let st = Spe_pipeline.advance_species ?ppc_hint ~interp ~accum pipe s f bc in
+  Accumulator.unload accum f;
+  st
+
 let test_pipeline_equivalent_to_direct () =
   let _, f1, s1 = pipeline_setup () in
   let _, f2, s2 = pipeline_setup () in
   (* identical setups; push one directly and one through the pipeline *)
-  ignore (Push.advance s1 f1 Bc.periodic);
+  ignore (push s1 f1 Bc.periodic);
   let pipe = Spe_pipeline.create ~block_size:128 Roadrunner.full in
-  ignore (Spe_pipeline.advance_species pipe s2 f2 Bc.periodic);
+  ignore (pipeline_push pipe s2 f2 Bc.periodic);
   Alcotest.(check int) "same count" (Species.count s1) (Species.count s2);
   check_close ~atol:0. ~rtol:0. "identical currents" 0.
     (List.fold_left2
@@ -123,7 +134,7 @@ let test_pipeline_ledger () =
   let block = 128 in
   let pipe = Spe_pipeline.create ~block_size:block Roadrunner.full in
   let np = Species.count s in
-  ignore (Spe_pipeline.advance_species pipe ~ppc_hint:20. s f Bc.periodic);
+  ignore (pipeline_push pipe ~ppc_hint:20. s f Bc.periodic);
   let led = Spe_pipeline.ledger pipe in
   Alcotest.(check int) "blocks" ((np + block - 1) / block) led.Spe_pipeline.blocks;
   Alcotest.(check int) "particles" np led.Spe_pipeline.particles;
@@ -152,7 +163,7 @@ let test_pipeline_rejects_absorbing () =
   check_true "raises"
     (try
        ignore
-         (Spe_pipeline.advance_species pipe s f (Bc.uniform Bc.Absorbing));
+         (pipeline_push pipe s f (Bc.uniform Bc.Absorbing));
        false
      with Invalid_argument _ -> true)
 

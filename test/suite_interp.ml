@@ -1,10 +1,8 @@
 open Helpers
-module Interp = Vpic_particle.Interp
 module Interpolator = Vpic_particle.Interpolator
 module Accumulator = Vpic_particle.Accumulator
 module Sort = Vpic_particle.Sort
 module Decomp = Vpic_grid.Decomp
-module Comm = Vpic_parallel.Comm
 module Simulation = Vpic.Simulation
 module Coupler = Vpic.Coupler
 
@@ -90,45 +88,70 @@ let load_particles s ~ppc ~seed =
             w = 1. /. float_of_int ppc }
       done)
 
-(* Same particles, same fields: an [~accum] push must produce the same
-   particle trajectories bit-for-bit (the gather is untouched) and, after
-   [unload], the same J meshes up to f64 addition reordering. *)
+(* The accumulator's slot -> mesh fold must land every segment where
+   the direct Villasenor-Buneman stencil puts it.  Particles start in the
+   middle third of their cells and move well under a third of a cell, so
+   each deposits exactly one segment, from its stored old position to
+   its stored new one: the oracle replays those segments straight into
+   the J meshes, and the two agree up to f64 addition order. *)
 let test_accumulator_unload_matches_direct_deposit () =
   let g = small_grid ~n:6 ~l:3. () in
-  let fa = random_field ~seed:5 g and fb = random_field ~seed:5 g in
-  let sa = Species.create ~name:"a" ~q:(-1.) ~m:1. g in
-  let sb = Species.create ~name:"b" ~q:(-1.) ~m:1. g in
-  load_particles sa ~ppc:6 ~seed:17;
-  load_particles sb ~ppc:6 ~seed:17;
-  Em_field.clear_currents fa;
-  Em_field.clear_currents fb;
-  ignore (Push.advance sa fa Bc.periodic);
-  let ac = Accumulator.create g in
-  ignore (Push.advance ~accum:ac sb fb Bc.periodic);
-  Accumulator.unload ac fb;
-  (* trajectories identical: same gather, same Boris, same walk *)
-  let sta = sa.Species.store and stb = sb.Species.store in
+  let f = random_field ~seed:5 g in
+  let s = Species.create ~name:"a" ~q:(-1.) ~m:1. g in
+  let rng = Rng.of_int 17 in
+  let mid () = (1. +. Rng.uniform rng) /. 3. in
+  Grid.iter_interior g (fun i j k ->
+      for _ = 1 to 6 do
+        Species.append s
+          { i; j; k;
+            fx = mid ();
+            fy = mid ();
+            fz = mid ();
+            ux = 0.05 *. Rng.normal rng;
+            uy = 0.05 *. Rng.normal rng;
+            uz = 0.05 *. Rng.normal rng;
+            w = 1. /. 6. }
+      done);
+  let np = Species.count s in
+  let before = Array.init np (Species.get s) in
+  let interp = Interpolator.create g and ac = Accumulator.create g in
+  Interpolator.load interp f;
+  Em_field.clear_currents f;
+  let st = Push.advance ~interp ~accum:ac s f Bc.periodic in
+  Alcotest.(check int) "one segment per particle" np st.Push.segments;
+  Accumulator.unload ac f;
+  (* the oracle: each particle's segment, deposited directly *)
+  let fo = Em_field.create g in
+  let dt = g.Grid.dt in
+  let kx = 1. /. g.Grid.dy *. (1. /. g.Grid.dz) /. dt
+  and ky = 1. /. g.Grid.dz *. (1. /. g.Grid.dx) /. dt
+  and kz = 1. /. g.Grid.dx *. (1. /. g.Grid.dy) /. dt in
+  Array.iteri
+    (fun n (p : Particle.t) ->
+      let q = Species.get s n in
+      Alcotest.(check (triple int int int))
+        "no cell change" (p.i, p.j, p.k)
+        (q.Particle.i, q.Particle.j, q.Particle.k);
+      let qw = s.Species.q *. p.w in
+      Interp.deposit_segment fo ~i:p.i ~j:p.j ~k:p.k ~x1:p.fx ~y1:p.fy
+        ~z1:p.fz ~x2:q.Particle.fx ~y2:q.Particle.fy ~z2:q.Particle.fz
+        ~cx:(qw *. kx) ~cy:(qw *. ky) ~cz:(qw *. kz))
+    before;
   let open Bigarray.Array1 in
-  Alcotest.(check int) "count" (Species.count sa) (Species.count sb);
-  for m = 0 to Species.count sa - 1 do
-    if
-      get sta.Store.fx m <> get stb.Store.fx m
-      || get sta.Store.ux m <> get stb.Store.ux m
-      || get sta.Store.voxel m <> get stb.Store.voxel m
-    then Alcotest.failf "particle %d diverged between accum/direct" m
-  done;
-  (* meshes match up to addition order (both sides accumulate in f64) *)
   List.iter2
-    (fun (name, ja) jb ->
-      let da = Sf.data ja and db = Sf.data jb in
-      for q = 0 to dim da - 1 do
-        if not (Vpic_util.Approx.close ~rtol:1e-12 ~atol:1e-13 (get da q) (get db q))
+    (fun (name, jo) ja ->
+      let d_o = Sf.data jo and d_a = Sf.data ja in
+      for q = 0 to dim d_o - 1 do
+        if
+          not
+            (Vpic_util.Approx.close ~rtol:1e-12 ~atol:1e-13 (get d_o q)
+               (get d_a q))
         then
           Alcotest.failf "%s[%d]: direct %g vs accumulator %g" name q
-            (get da q) (get db q)
+            (get d_o q) (get d_a q)
       done)
-    [ ("jx", fa.Em_field.jx); ("jy", fa.Em_field.jy); ("jz", fa.Em_field.jz) ]
-    [ fb.Em_field.jx; fb.Em_field.jy; fb.Em_field.jz ];
+    [ ("jx", fo.Em_field.jx); ("jy", fo.Em_field.jy); ("jz", fo.Em_field.jz) ]
+    [ f.Em_field.jx; f.Em_field.jy; f.Em_field.jz ];
   (* the accumulator is left clean for the next step *)
   let d = Accumulator.data ac in
   for q = 0 to dim d - 1 do
@@ -137,12 +160,12 @@ let test_accumulator_unload_matches_direct_deposit () =
 
 (* Charge conservation through the full step loop on the interp/accum
    path: the Gauss residual must stay at the deposition-roundoff floor,
-   exactly as the direct path's conservation tests demand. *)
+   exactly as the single-push conservation tests demand. *)
 let test_interp_accum_charge_conservation () =
   let g = small_grid ~n:6 ~l:3. () in
   let sim =
     Simulation.make ~grid:g ~coupler:(Coupler.local Bc.periodic)
-      ~clean_div_interval:0 ~sort_interval:4 ~interp_accum:true ()
+      ~clean_div_interval:0 ~sort_interval:4 ()
   in
   let e = Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1. in
   ignore (Loader.maxwellian (Rng.of_int 3) e ~ppc:16 ~uth:0.1 ());
@@ -154,90 +177,41 @@ let test_interp_accum_charge_conservation () =
     (Printf.sprintf "gauss residual stays small (%.3g -> %.3g)" r0 r1)
     (r1 < Float.max 0.02 (2. *. r0))
 
-(* --- Stepped energy parity: interp/accum vs direct ---------------------- *)
-
-let energies_serial ~interp_accum ~steps =
+(* The push's flop ledger charges the interpolator expansion per
+   particle, whatever the kernel: the number the Report and the
+   per-kernel Perf_model calibration compare against. *)
+let test_push_ledger () =
   let g = small_grid ~n:6 ~l:3. () in
-  let sim =
-    Simulation.make ~grid:g ~coupler:(Coupler.local Bc.periodic)
-      ~clean_div_interval:5 ~sort_interval:4 ~interp_accum ()
-  in
-  let e = Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1. in
-  ignore (Loader.maxwellian (Rng.of_int 12) e ~ppc:12 ~uth:0.1 ());
-  let out = ref [] in
-  for _ = 1 to steps do
-    Simulation.step sim;
-    out := (Simulation.energies sim).Simulation.total :: !out
-  done;
-  List.rev !out
+  let f = random_field ~seed:3 g in
+  List.iter
+    (fun kernel ->
+      let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
+      load_particles s ~ppc:4 ~seed:5;
+      Sort.by_voxel s;
+      let perf = Vpic_util.Perf.create () in
+      let interp = Interpolator.create g and accum = Accumulator.create g in
+      Interpolator.load interp f;
+      let st = Push.advance ~perf ~kernel ~interp ~accum s f Bc.periodic in
+      let adv = float_of_int st.Push.advanced in
+      check_close "particle steps" adv perf.Vpic_util.Perf.particle_steps;
+      check_close "flops"
+        ((adv *. (Interpolator.flops_per_gather +. Push.flops_per_push))
+        +. (float_of_int st.Push.segments *. Push.flops_per_segment))
+        perf.Vpic_util.Perf.flops)
+    [ Push.Scalar; Push.Block { width = 8 } ]
 
-let test_serial_energy_parity () =
-  let steps = 25 in
-  let direct = energies_serial ~interp_accum:false ~steps in
-  let interp = energies_serial ~interp_accum:true ~steps in
-  (* The interpolator rounds its 18 coefficients to f32 (~1e-7 relative
-     force error) and evaluates a midpoint-held expansion instead of the
-     piecewise staggered gather; the trajectories decorrelate slowly, so
-     the energy trajectories agree to a loose tolerance while staying
-     individually conserved. *)
-  List.iter2 (fun a b -> check_close ~rtol:0.02 "energy parity" a b) direct
-    interp
-
-let energies_2rank ~interp_accum ~steps =
-  let gnx = 8 in
-  let d =
-    Decomp.make ~px:2 ~py:1 ~pz:1 ~gnx ~gny:4 ~gnz:4 ~lx:4. ~ly:2. ~lz:2.
-  in
-  let dt = Grid.courant_dt ~dx:0.5 ~dy:0.5 ~dz:0.5 () in
-  let results =
-    Comm.run ~ranks:2 (fun c ->
-        let rank = Comm.rank c in
-        let grid = Decomp.local_grid d ~dt ~rank in
-        let bc = Decomp.local_bc d ~global:Bc.periodic ~rank in
-        let sim =
-          Simulation.make ~grid ~coupler:(Coupler.parallel c bc ~grid)
-            ~clean_div_interval:5 ~sort_interval:4 ~interp_accum ()
-        in
-        let e = Simulation.add_species sim ~name:"electron" ~q:(-1.) ~m:1. in
-        let cx, _, _ = Decomp.coords_of_rank d rank in
-        let x_off = cx * (gnx / 2) in
-        Grid.iter_interior grid (fun i j k ->
-            let rng =
-              Rng.of_int ((((x_off + i) * 997) + (j * 89) + k) * 13)
-            in
-            for _ = 1 to 8 do
-              Species.append e
-                { i; j; k;
-                  fx = Rng.uniform rng;
-                  fy = Rng.uniform rng;
-                  fz = Rng.uniform rng;
-                  ux = 0.1 *. Rng.normal rng;
-                  uy = 0.1 *. Rng.normal rng;
-                  uz = 0.1 *. Rng.normal rng;
-                  w = Grid.cell_volume grid /. 8. }
-            done);
-        let out = ref [] in
-        for _ = 1 to steps do
-          Simulation.step sim;
-          out := (Simulation.energies sim).Simulation.total :: !out
-        done;
-        (List.rev !out, Simulation.total_particles sim))
-  in
-  results.(0)
-
-let test_two_rank_energy_parity () =
-  let steps = 20 in
-  let direct, np_d = energies_2rank ~interp_accum:false ~steps in
-  let interp, np_i = energies_2rank ~interp_accum:true ~steps in
-  Alcotest.(check int) "particle count" np_d np_i;
-  check_true "no energy blowup"
-    (List.for_all Float.is_finite direct && List.for_all Float.is_finite interp);
-  (* Same deck stepped both ways across a 2-rank x-split: migration's
-     remote-mover deposits flow through the accumulator on the interp
-     side, so parity here exercises the full comm path. *)
-  List.iter2
-    (fun a b -> check_close ~rtol:0.02 "2-rank energy parity" a b)
-    direct interp
+(* Every finished move deposits into an accumulator, so a coupler asked
+   to migrate without one refuses up front. *)
+let test_migrate_requires_accumulator () =
+  let g = small_grid ~n:4 ~l:2. () in
+  let f = Em_field.create g in
+  let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
+  let c = Coupler.local Bc.periodic in
+  check_true "raises without ?accum"
+    (match c.Coupler.migrate s f (Push.Movers.create ()) with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  c.Coupler.migrate ~accum:(Accumulator.create g) s f (Push.Movers.create ())
 
 (* --- Sort: zero-allocation double buffer + occupancy -------------------- *)
 
@@ -265,7 +239,7 @@ let test_sort_scratch_reused () =
      record must be the very same one (steady state allocates nothing) *)
   let f = random_field ~seed:2 g in
   for _ = 1 to 3 do
-    ignore (Push.advance s f Bc.periodic)
+    ignore (push s f Bc.periodic)
   done;
   Sort.by_voxel s;
   Sort.by_voxel s;
@@ -327,7 +301,7 @@ let test_movers_growth () =
         w = float_of_int m }
   done;
   let movers = Push.Movers.create ~capacity:1 () in
-  let st = Push.advance ~movers s f bc in
+  let st = push ~movers s f bc in
   Alcotest.(check int) "all outbound" nout st.Push.outbound;
   Alcotest.(check int) "all buffered" nout (Push.Movers.count movers);
   (* growth from capacity 1 went through several doublings; every
@@ -355,8 +329,9 @@ let suite =
       test_accumulator_unload_matches_direct_deposit;
     case "charge conservation on the interp/accum path"
       test_interp_accum_charge_conservation;
-    case "serial stepped energy parity" test_serial_energy_parity;
-    case "2-rank stepped energy parity" test_two_rank_energy_parity;
+    case "push ledger charges the interpolator gather" test_push_ledger;
+    case "coupler migrate requires the accumulator"
+      test_migrate_requires_accumulator;
     case "sort scratch is reused across sorts" test_sort_scratch_reused;
     case "occupancy max/mean" test_occupancy;
     case "movers grow from capacity 1 without losing payload"

@@ -254,11 +254,11 @@ let test_migration_conserves () =
         done;
         let ports = Exchange.create c bc grid in
         let movers = Push.Movers.create () in
-        let st = Push.advance ~movers s f bc in
+        let st = push ~movers s f bc in
         check_true "some went outbound" (st.Push.outbound > 0);
         Alcotest.(check int) "movers match outbound count"
           st.Push.outbound (Push.Movers.count movers);
-        let mig = Migrate.exchange ports s f movers in
+        let mig = migrate ports s f movers in
         (* the caller's mover buffer must drain to zero *)
         Alcotest.(check int) "movers drained" 0 (Push.Movers.count movers);
         (* every mover must have settled somewhere *)

@@ -98,7 +98,7 @@ let test_pusher_selection_in_advance () =
       let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
       ignore (Loader.maxwellian (Rng.of_int 3) s ~ppc:4 ~uth:0.1 ());
       let ke0 = Species.kinetic_energy s in
-      ignore (Push.advance ~pusher s f Bc.periodic);
+      ignore (push ~pusher s f Bc.periodic);
       check_close ~rtol:1e-12
         (Push.kind_to_string pusher ^ " free streaming keeps KE")
         ke0 (Species.kinetic_energy s))
@@ -121,19 +121,25 @@ let test_gather_uniform () =
   let g = small_grid () in
   let vals = [| 1.5; -2.5; 0.25; 3.; -1.; 0.5 |] in
   let f = uniform_fields g vals in
+  let ip = Interpolator.create g in
+  Interpolator.load ip f;
+  let out = Array.make 6 0. in
   let rng = Rng.of_int 7 in
   for _ = 1 to 50 do
     let i = 1 + Rng.int rng g.Grid.nx in
     let j = 1 + Rng.int rng g.Grid.ny in
     let k = 1 + Rng.int rng g.Grid.nz in
     let fx = Rng.uniform rng and fy = Rng.uniform rng and fz = Rng.uniform rng in
-    let ex, ey, ez, bx, by, bz = Vpic_particle.Interp.gather f ~i ~j ~k ~fx ~fy ~fz in
+    let ex, ey, ez, bx, by, bz = Interp.gather f ~i ~j ~k ~fx ~fy ~fz in
     check_close "uniform ex" vals.(0) ex;
     check_close "uniform ey" vals.(1) ey;
     check_close "uniform ez" vals.(2) ez;
     check_close "uniform bx" vals.(3) bx;
     check_close "uniform by" vals.(4) by;
-    check_close "uniform bz" vals.(5) bz
+    check_close "uniform bz" vals.(5) bz;
+    (* the production interpolator expansion is exact here too *)
+    Interpolator.gather_into ip ~voxel:(Grid.voxel g i j k) ~fx ~fy ~fz ~out;
+    Array.iteri (fun q v -> check_close "interpolator uniform" vals.(q) v) out
   done
 
 let test_gather_linear_in_x () =
@@ -151,7 +157,7 @@ let test_gather_linear_in_x () =
     let i = 3 + Rng.int rng (g.Grid.nx - 4) in
     let fx = Rng.uniform rng and fy = Rng.uniform rng and fz = Rng.uniform rng in
     let x = g.Grid.x0 +. ((float_of_int (i - 1) +. fx) *. g.Grid.dx) in
-    let ex, ey, _, _, _, _ = Vpic_particle.Interp.gather f ~i ~j:4 ~k:4 ~fx ~fy ~fz in
+    let ex, ey, _, _, _, _ = Interp.gather f ~i ~j:4 ~k:4 ~fx ~fy ~fz in
     check_close ~rtol:1e-12 ~atol:1e-12 "staggered ex linear in x" x ex;
     check_close ~rtol:1e-12 ~atol:1e-12 "node ey linear in x" x ey
   done
@@ -300,7 +306,7 @@ let one_particle_sim bc_kind (p : Particle.t) =
   let bc = Bc.uniform bc_kind in
   let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
   Species.append s p;
-  let stats = Push.advance s f bc in
+  let stats = push s f bc in
   (g, s, stats)
 
 let test_mover_periodic_wrap () =
@@ -341,7 +347,7 @@ let test_mover_reflux () =
   let s = Species.create ~name:"e" ~q:(-1.) ~m:1. g in
   Species.append s p;
   let rng = Rng.of_int 99 in
-  let stats = Push.advance ~rng s f bc in
+  let stats = push ~rng s f bc in
   Alcotest.(check int) "refluxed once" 1 stats.Push.refluxed;
   Alcotest.(check int) "not absorbed" 0 stats.Push.absorbed;
   Alcotest.(check int) "kept" 1 (Species.count s);
@@ -363,7 +369,7 @@ let test_mover_reflux_needs_rng () =
   Species.append s p;
   check_true "raises without rng"
     (try
-       ignore (Push.advance s f bc);
+       ignore (push s f bc);
        false
      with Invalid_argument _ -> true)
 
@@ -381,7 +387,7 @@ let test_mover_reflux_bath_statistics () =
         fy = 0.5; fz = 0.5; ux = 0.9; uy = 0.; uz = 0.; w = 1. }
   done;
   let rng = Rng.of_int 7 in
-  let stats = Push.advance ~rng s f bc in
+  let stats = push ~rng s f bc in
   Alcotest.(check int) "all refluxed" 5000 stats.Push.refluxed;
   let mean_un = ref 0. and mean_ut = ref 0. and var_ut = ref 0. in
   Species.iter s (fun n ->
@@ -422,7 +428,7 @@ let test_mover_free_streaming () =
      the final position re-rounds to f32, hence the ~1e-7 tolerance *)
   let p = Species.get s 0 in
   let x0, y0, z0 = Particle.position g p in
-  ignore (Push.advance s f bc);
+  ignore (push s f bc);
   let x1, y1, z1 = Particle.position g (Species.get s 0) in
   let gamma = Particle.gamma p in
   let dt = g.Grid.dt in
@@ -454,7 +460,7 @@ let qcheck_single_particle_continuity =
       Species.append s { i = 4; j = 4; k = 4; fx; fy; fz; ux; uy; uz; w = 1.3 };
       let rho_old = Sf.create g in
       Moments.deposit_rho s ~rho:rho_old;
-      ignore (Push.advance s f bc);
+      ignore (push s f bc);
       Boundary.fold_currents bc f;
       let rho_new = Sf.create g in
       Moments.deposit_rho s ~rho:rho_new;
@@ -494,7 +500,7 @@ let test_charge_conservation_random () =
   Moments.deposit_rho s ~rho:rho_old;
   Boundary.fold_rho bc { f with Em_field.rho = rho_old };
   Em_field.clear_currents f;
-  ignore (Push.advance s f bc);
+  ignore (push s f bc);
   Boundary.fold_currents bc f;
   let rho_new = Sf.create g in
   Moments.deposit_rho s ~rho:rho_new;

@@ -93,8 +93,9 @@ let test_f32_vs_f64_push_divergence () =
   (* Two counter-streaming beams in a frozen seeded wave field, advanced
      100 steps twice: once through the f32 store (the real kernels), once
      through an f64 shadow running the identical gather/Boris/streaming
-     arithmetic on float64 arrays.  Both see the same (frozen) fields, so
-     the trajectories differ only by the per-step f32 storage rounding.
+     arithmetic on float64 arrays.  Both see the same (frozen) fields
+     through the same interpolator coefficients, so the trajectories
+     differ only by the per-step f32 storage rounding.
 
      Documented bound: after 100 steps the worst particle diverges by
      less than 1e-3 cell widths in position and 1e-4 in momentum (u0 =
@@ -131,6 +132,8 @@ let test_f32_vs_f64_push_divergence () =
       uy.(n) <- p.Particle.uy;
       uz.(n) <- p.Particle.uz);
   let qdt_2m = 0.5 *. (-1.) *. dt /. 1. in
+  let ip = Interpolator.create g in
+  Interpolator.load ip f;
   let out = Array.make 6 0. in
   let u = Array.make 3 0. in
   let wrap frac cell ncell =
@@ -141,7 +144,8 @@ let test_f32_vs_f64_push_divergence () =
   in
   let shadow_step () =
     for n = 0 to np - 1 do
-      Vpic_particle.Interp.gather_into f ~i:ci.(n) ~j:cj.(n) ~k:ck.(n)
+      Interpolator.gather_into ip
+        ~voxel:(Grid.voxel g ci.(n) cj.(n) ck.(n))
         ~fx:fx.(n) ~fy:fy.(n) ~fz:fz.(n) ~out;
       u.(0) <- ux.(n);
       u.(1) <- uy.(n);
@@ -163,7 +167,7 @@ let test_f32_vs_f64_push_divergence () =
   in
   for _ = 1 to 100 do
     shadow_step ();
-    ignore (Push.advance s f Bc.periodic)
+    ignore (push s f Bc.periodic)
   done;
   let worst_x = ref 0. and worst_u = ref 0. in
   let fnx = float_of_int nx in
